@@ -6,12 +6,13 @@
 // policies bracket the space:
 //   * random       — uniform hosts from the global free pool; the baseline
 //                    that scatters DP rings across segments and Pods.
-//   * locality     — the §3 segment-affine policy (ported from
-//                    workload::ClusterScheduler): emptiest single segment
+//   * locality     — segment-affine, balancing: emptiest single segment
 //                    that fits, else spill fullest-first.
-//   * frag-min     — tightest-fitting segment (min leftover), preserving
+//   * frag-min     — segment-affine, best-fit: tightest-fitting segment
+//                    (min leftover), else spill fullest-first. Preserves
 //                    large holes for future big jobs at the price of less
-//                    headroom per placed job.
+//                    headroom per placed job; bench_sec3_job_locality
+//                    replays the Fig 6 job sizes through it.
 #pragma once
 
 #include <cstdint>

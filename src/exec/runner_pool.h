@@ -102,7 +102,7 @@ class RunnerPool {
   std::mutex batch_mu_;
   std::condition_variable work_cv_;  ///< Workers wait here between batches.
   std::condition_variable done_cv_;  ///< for_each() waits here for settle.
-  std::uint64_t batch_gen_ = 0;      ///< Bumped per batch (guarded by batch_mu_).
+  std::uint64_t batch_gen_ = 0;  ///< Bumped per batch once seeded (guarded by batch_mu_).
   bool shutdown_ = false;
 
   /// Published with release ordering before queues are seeded; workers load

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 
 #include "topo/builders.h"
 
@@ -148,10 +149,13 @@ TEST_F(CommunicatorTest, BusBwFormulas) {
 
 // Property sweep: AllReduce completes and yields sane bus bandwidth across
 // sizes and world shapes.
+// No padding: gtest names each case after the raw bytes of its parameter, so
+// padding bytes would put stack garbage into the test names.
 struct SweepParam {
-  int hosts;
+  std::int64_t hosts;
   std::int64_t megabytes;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class AllReduceSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -162,7 +166,7 @@ TEST_P(AllReduceSweep, CompletesWithSaneBusBw) {
   flowsim::FlowSession fs{c.topo, s};
   routing::Router r{c.topo};
   ConnectionManager cm{c, r};
-  Communicator comm{c, s, fs, cm, whole_hosts(c, p.hosts)};
+  Communicator comm{c, s, fs, cm, whole_hosts(c, static_cast<int>(p.hosts))};
   const Duration t = comm.run_all_reduce(DataSize::megabytes(p.megabytes));
   const double busbw =
       Communicator::bus_bw_all_reduce(comm.world_size(), DataSize::megabytes(p.megabytes), t);

@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "fabric/fabric.h"
+#include "topo/builders.h"
 #include "topo/cluster.h"
+#include "workload/traffic.h"
 
 namespace hpn::cluster {
 namespace {
@@ -171,6 +174,137 @@ TEST(PlacementProperties, RandomKeepsDrawOrder) {
     saw_unsorted = !std::is_sorted(a->hosts.begin(), a->hosts.end());
   }
   EXPECT_TRUE(saw_unsorted) << "random draws came back sorted — scatter lost";
+}
+
+// Allocation edge cases, run against every policy where the rule is
+// policy-independent.
+constexpr Policy kAllPolicies[] = {Policy::kRandom, Policy::kLocalityAware,
+                                   Policy::kFragMin};
+
+topo::Cluster tiny_hpn(int segments, int hosts, int backups = 0) {
+  auto cfg = topo::HpnConfig::tiny();
+  cfg.segments_per_pod = segments;
+  cfg.hosts_per_segment = hosts;
+  cfg.backup_hosts_per_segment = backups;
+  return topo::build_hpn(cfg);
+}
+
+TEST(Scheduler, BackupHostsNotSchedulable) {
+  const topo::Cluster cluster = tiny_hpn(1, 4, 2);
+  for (const Policy policy : kAllPolicies) {
+    PlacementEngine engine{cluster, policy, 1};
+    EXPECT_EQ(engine.free_hosts(), 4) << to_string(policy);  // 2 backups excluded
+    const auto a = engine.allocate(0, 4);
+    ASSERT_TRUE(a.has_value()) << to_string(policy);
+    for (const int h : a->hosts) {
+      EXPECT_FALSE(cluster.hosts.at(static_cast<std::size_t>(h)).backup) << to_string(policy);
+    }
+    EXPECT_FALSE(engine.allocate(1, 1).has_value()) << to_string(policy);
+  }
+}
+
+TEST(Scheduler, RefusesWhenFull) {
+  const topo::Cluster cluster = tiny_hpn(2, 8);
+  for (const Policy policy : kAllPolicies) {
+    PlacementEngine engine{cluster, policy, 1};
+    ASSERT_TRUE(engine.allocate(0, 16).has_value()) << to_string(policy);
+    EXPECT_FALSE(engine.allocate(1, 1).has_value()) << to_string(policy);
+    EXPECT_EQ(engine.free_hosts(), 0) << to_string(policy);
+  }
+}
+
+TEST(Scheduler, ReleaseReturnsCapacity) {
+  const topo::Cluster cluster = tiny_hpn(2, 8);
+  for (const Policy policy : kAllPolicies) {
+    PlacementEngine engine{cluster, policy, 1};
+    const auto a = engine.allocate(0, 8);
+    ASSERT_TRUE(a.has_value()) << to_string(policy);
+    EXPECT_EQ(engine.free_hosts(), 8) << to_string(policy);
+    engine.release(a->hosts);
+    EXPECT_EQ(engine.free_hosts(), 16) << to_string(policy);
+    EXPECT_THROW(engine.release(a->hosts), CheckError) << to_string(policy);
+  }
+}
+
+TEST(Scheduler, SingleSegmentJobStaysInOneSegment) {
+  const topo::Cluster cluster = tiny_hpn(2, 8);
+  for (const Policy policy : {Policy::kLocalityAware, Policy::kFragMin}) {
+    PlacementEngine engine{cluster, policy, 1};
+    const auto a = engine.allocate(0, 4);  // 4 hosts <= 8 per segment
+    ASSERT_TRUE(a.has_value()) << to_string(policy);
+    EXPECT_EQ(a->hosts.size(), 4u) << to_string(policy);
+    EXPECT_EQ(a->segments_spanned, 1) << to_string(policy);
+    const int seg = segment_of(cluster, a->hosts.front());
+    for (const int h : a->hosts) EXPECT_EQ(segment_of(cluster, h), seg) << to_string(policy);
+  }
+}
+
+TEST(Scheduler, BestFitKeepsBigHolesOpen) {
+  // Two segments; frag-min best-fits a second small job into the segment the
+  // first one dented, preserving a full segment for a big job.
+  const topo::Cluster cluster = tiny_hpn(2, 8);
+  PlacementEngine engine{cluster, Policy::kFragMin, 1};
+  const auto small1 = engine.allocate(0, 2);
+  ASSERT_TRUE(small1.has_value());
+  const auto small2 = engine.allocate(1, 2);  // should land in the same segment
+  ASSERT_TRUE(small2.has_value());
+  EXPECT_EQ(segment_of(cluster, small1->hosts.front()),
+            segment_of(cluster, small2->hosts.front()));
+  const auto big = engine.allocate(2, 8);  // a full segment must still exist
+  ASSERT_TRUE(big.has_value());
+  EXPECT_EQ(big->segments_spanned, 1);
+}
+
+TEST(Scheduler, OversizeJobSpillsAcrossSegments) {
+  const topo::Cluster cluster = tiny_hpn(2, 8);
+  for (const Policy policy : {Policy::kLocalityAware, Policy::kFragMin}) {
+    PlacementEngine engine{cluster, policy, 1};
+    const auto a = engine.allocate(0, 12);  // 12 hosts > 8 per segment
+    ASSERT_TRUE(a.has_value()) << to_string(policy);
+    EXPECT_EQ(a->hosts.size(), 12u) << to_string(policy);
+    EXPECT_EQ(a->segments_spanned, 2) << to_string(policy);
+    EXPECT_TRUE(std::is_sorted(a->hosts.begin(), a->hosts.end())) << to_string(policy);
+  }
+}
+
+// The §3 claim as a statistical property, on the policy bench_sec3_job_locality
+// replays: with HPN-sized segments almost every production job fits one
+// segment; with DCN+-sized segments almost none of the big ones do.
+TEST(Scheduler, SegmentSizeDrivesLocality) {
+  auto fraction_single_segment = [](int hosts_per_segment, int segments) {
+    auto cfg = topo::HpnConfig::tiny();
+    cfg.hosts_per_segment = hosts_per_segment;
+    cfg.segments_per_pod = segments;
+    cfg.tor_uplinks = 4;
+    cfg.aggs_per_plane = 4;
+    const topo::Cluster cluster = topo::build_hpn(cfg);
+    PlacementEngine engine{cluster, Policy::kFragMin, 1};
+    workload::JobSizeModel model{21};  // same stream for both fabrics
+    int single = 0, placed = 0;
+    std::vector<std::vector<int>> running;
+    for (int i = 0; i < 300; ++i) {
+      const int hosts = (model.sample_gpus() + cluster.gpus_per_host - 1) / cluster.gpus_per_host;
+      auto a = engine.allocate(i, hosts);
+      if (!a.has_value()) {
+        // Drain everything and retry (batch scheduler behavior).
+        for (const auto& held : running) engine.release(held);
+        running.clear();
+        a = engine.allocate(i, hosts);
+        if (!a.has_value()) continue;  // bigger than the whole cluster
+      }
+      running.push_back(a->hosts);
+      ++placed;
+      single += a->segments_spanned == 1;
+    }
+    return placed ? static_cast<double>(single) / placed : 0.0;
+  };
+
+  // HPN-shaped: 128-host (1024-GPU) segments. DCN+-shaped: 16-host ones.
+  const double hpn = fraction_single_segment(128, 2);
+  const double dcn = fraction_single_segment(16, 16);
+  EXPECT_GT(hpn, 0.9);   // paper: 96.3%
+  EXPECT_LT(dcn, 0.75);  // most nontrivial jobs cross segments
+  EXPECT_GT(hpn, dcn + 0.2);
 }
 
 TEST(PlacementNames, RoundTrip) {

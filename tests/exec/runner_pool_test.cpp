@@ -154,6 +154,24 @@ TEST(RunnerPool, IdleWorkersStealFromBusyQueues) {
   EXPECT_TRUE(unblocked_in_time);
 }
 
+// A worker that wakes between a batch's generation bump and its queue
+// seeding would record the generation, find nothing and sleep through the
+// batch; with one worker, for_each() then never returns. Many tiny
+// back-to-back batches give that window thousands of chances to open.
+TEST(RunnerPool, BackToBackBatchesNeverLoseAWakeup) {
+  for (const int jobs : {1, 2}) {
+    RunnerPool pool{jobs};
+    std::atomic<std::size_t> ran{0};
+    std::size_t expected = 0;
+    for (std::size_t batch = 0; batch < 50'000; ++batch) {
+      const std::size_t count = 1 + batch % 3;
+      EXPECT_TRUE(pool.for_each(count, [&](std::size_t) { ran.fetch_add(1); }));
+      expected += count;
+    }
+    EXPECT_EQ(ran.load(), expected) << "jobs=" << jobs;
+  }
+}
+
 TEST(RunnerPool, ParallelMapConvenience) {
   const auto r = parallel_map(4, 8, [](std::size_t i) { return i + 1; });
   EXPECT_EQ(r, (std::vector<std::size_t>{1, 2, 3, 4, 5, 6, 7, 8}));

@@ -1,5 +1,8 @@
 #include "train/training_job.h"
 
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "topo/builders.h"
@@ -163,6 +166,117 @@ TEST(TrainingJobMoe, WorksOnRailOnlyViaHostRelay) {
   model.traffic.dp_all_reduce = DataSize::megabytes(16);
   TrainingJob job{c, s, fs, cm, plan, model};
   EXPECT_EQ(job.run_iterations(2), 2) << "PXN relay keeps MoE alive on rail-only";
+}
+
+}  // namespace
+}  // namespace hpn::train
+// --- Blocking vs event-driven entry points -----------------------------------
+namespace hpn::train {
+namespace {
+
+/// Iteration begin/end tracer records, oldest first.
+std::vector<metrics::TraceEvent> iteration_spans(const sim::Simulator& s) {
+  std::vector<metrics::TraceEvent> out;
+  for (const auto& ev : s.tracer().events()) {
+    if (ev.kind == metrics::TraceEventKind::kIterationBegin ||
+        ev.kind == metrics::TraceEventKind::kIterationEnd) {
+      out.push_back(ev);
+    }
+  }
+  return out;
+}
+
+// run_iterations(n) and run(n, cb) launch the same iteration; only the pump
+// differs. On a healthy fabric every iteration must take bit-identical time.
+TEST(TrainingJobEntryPoints, BlockingAndEventDrivenAgree) {
+  constexpr int kIterations = 4;
+  constexpr std::uint32_t kTag = 7;
+  Rig blocking;
+  Rig driven;
+  blocking.s.tracer().enable();
+  driven.s.tracer().enable();
+  const auto plan = workload::ParallelismPlanner{blocking.c}.plan(8, 2, 2);
+  TrainingJob a{blocking.c, blocking.s, blocking.fs, blocking.cm, plan, fast_model()};
+  TrainingJob b{driven.c, driven.s, driven.fs, driven.cm, plan, fast_model(), {}, kTag};
+
+  EXPECT_EQ(a.run_iterations(kIterations), kIterations);
+  int done_calls = 0;
+  bool crashed = true;
+  b.run(kIterations, [&](bool c) {
+    ++done_calls;
+    crashed = c;
+  });
+  EXPECT_TRUE(b.running());
+  driven.s.run();
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_FALSE(crashed);
+  EXPECT_FALSE(b.running());
+  EXPECT_EQ(b.completed_iterations(), kIterations);
+  EXPECT_EQ(a.completed_iterations(), kIterations);
+
+  const auto& pa = a.throughput().points();
+  const auto& pb = b.throughput().points();
+  ASSERT_EQ(pa.size(), static_cast<std::size_t>(kIterations));
+  ASSERT_EQ(pb.size(), pa.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].at, pb[i].at) << "iteration " << i;
+    EXPECT_EQ(pa[i].value, pb[i].value) << "iteration " << i;  // bit-equal
+  }
+
+  const auto sa = iteration_spans(blocking.s);
+  const auto sb = iteration_spans(driven.s);
+  ASSERT_EQ(sa.size(), 2u * kIterations);
+  ASSERT_EQ(sb.size(), sa.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].at, sb[i].at) << "span record " << i;
+    EXPECT_EQ(sa[i].kind, sb[i].kind) << "span record " << i;
+    EXPECT_EQ(sa[i].a, sb[i].a) << "span record " << i;
+    EXPECT_EQ(sa[i].value, sb[i].value) << "span record " << i;
+    EXPECT_EQ(sa[i].b, metrics::kTraceNoId) << "span record " << i;
+    EXPECT_EQ(sb[i].b, kTag) << "span record " << i;
+  }
+}
+
+// The single-ToR case above: a failed rail port stalls the iteration past
+// the collective timeout. Both pumps must call it a crash.
+TEST(TrainingJobEntryPoints, BothReportSingleTorCrash) {
+  auto cfg = HpnConfig::tiny();
+  cfg.dual_tor = false;
+  TrainOptions opts;
+  opts.comm_timeout = Duration::seconds(2.0);
+
+  Rig blocking{cfg};
+  const auto plan = workload::ParallelismPlanner{blocking.c}.plan(8, 2, 2);
+  ctrl::FabricController fabric_a{blocking.c, blocking.s, blocking.r, {}};
+  TrainingJob a{blocking.c, blocking.s, blocking.fs, blocking.cm, plan, fast_model(), opts};
+  ASSERT_EQ(a.run_iterations(1), 1);
+  fabric_a.fail_access(plan.hosts[0], 0, 0);
+  a.on_fabric_change();
+  EXPECT_EQ(a.run_iterations(2), 0);
+  EXPECT_EQ(a.state(), JobState::kCrashed);
+
+  Rig driven{cfg};
+  ctrl::FabricController fabric_b{driven.c, driven.s, driven.r, {}};
+  TrainingJob b{driven.c, driven.s, driven.fs, driven.cm, plan, fast_model(), opts};
+  std::optional<bool> crashed;
+  b.run(1, [&](bool c) { crashed = c; });
+  while (!crashed.has_value() && driven.s.step()) {
+  }
+  ASSERT_EQ(crashed, std::optional<bool>{false});
+  fabric_b.fail_access(plan.hosts[0], 0, 0);
+  b.on_fabric_change();
+  crashed.reset();
+  const TimePoint start = driven.s.now();
+  b.run(2, [&](bool c) { crashed = c; });
+  // Retries to the isolated host never drain, so pump only until on_done.
+  while (!crashed.has_value() && driven.s.step()) {
+  }
+  EXPECT_EQ(crashed, std::optional<bool>{true});
+  EXPECT_EQ(b.state(), JobState::kCrashed);
+  EXPECT_FALSE(b.running());
+  EXPECT_EQ(b.completed_iterations(), 1);
+  // The watchdog fires exactly at start + compute + timeout.
+  EXPECT_EQ(driven.s.now(), start + fast_model().compute_per_iteration + opts.comm_timeout);
 }
 
 }  // namespace
