@@ -76,8 +76,9 @@ FleetOutcome simulate_fleet(bool stacked, int pairs, int months, std::uint64_t s
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("§4 ablation — stacked vs non-stacked dual-ToR reliability",
                 "stacked dual-ToR turns single-ToR faults into rack outages (>40% of "
                 "critical failures over 3y); non-stacked pairs never lose the rack to "
@@ -93,7 +94,7 @@ int main() {
              std::to_string(stacked.stack_induced)});
   t.add_row({"non-stacked dual-ToR", std::to_string(plain.rack_outages),
              std::to_string(plain.stack_induced)});
-  bench::emit(t, "ablation_dualtor");
+  bench::emit(t, "ablation_dualtor", args);
 
   const double frac = stacked.rack_outages
                           ? static_cast<double>(stacked.stack_induced) / stacked.rack_outages

@@ -48,8 +48,9 @@ std::unique_ptr<Rig> make(bool rail_only) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("§10 / Table 4 ablation — MoE AllToAll on any-to-any vs rail-only tier2",
                 "rail-only scales to 122,880 GPUs but restricts communication to "
                 "rail-aligned flows; MoE all-to-all only survives via host relay, and "
@@ -75,7 +76,7 @@ int main() {
                  std::to_string(unroutable)});
     }
   }
-  bench::emit(t, "ablation_moe_railonly");
+  bench::emit(t, "ablation_moe_railonly", args);
 
   std::cout << "\nrail-only + serverless leaves cross-rail expert traffic with no "
                "path at all — the deal-breaker that keeps HPN's tier2 any-to-any\n";

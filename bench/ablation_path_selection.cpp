@@ -64,8 +64,9 @@ double run_concurrent_allreduces(bool optimized) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("§6.1 ablation — optimized path selection (RePaC disjoint paths + WQE LB)",
                 "four concurrent AllReduce tasks on 512 GPUs: optimized path selection "
                 "improves collective performance by up to 34.7%");
@@ -78,7 +79,7 @@ int main() {
   t.add_row({"blind ECMP connections", metrics::Table::num(blind_s, 3), "1.00x"});
   t.add_row({"disjoint + WQE least-loaded", metrics::Table::num(opt_s, 3),
              metrics::Table::num(blind_s / opt_s, 2) + "x"});
-  bench::emit(t, "ablation_path_selection");
+  bench::emit(t, "ablation_path_selection", args);
 
   std::cout << "\nimprovement: " << metrics::Table::percent(blind_s / opt_s - 1.0, 1)
             << " (paper: up to +34.7%)\n";

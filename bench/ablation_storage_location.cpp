@@ -64,8 +64,9 @@ Outcome run(bool storage_on_backend) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("§10 ablation — storage cluster placement (frontend vs backend)",
                 "backend placement has 8x the host bandwidth but checkpoint storms "
                 "perturb training and storage consumes backend ToR ports; the paper "
@@ -86,7 +87,7 @@ int main() {
   t.add_row({"backend (rejected)", metrics::Table::num(backend.clean_sps, 1),
              metrics::Table::num(backend.storm_sps, 1), impact(backend),
              metrics::Table::num(backend.checkpoint_s, 1)});
-  bench::emit(t, "ablation_storage_location");
+  bench::emit(t, "ablation_storage_location", args);
 
   std::cout << "\nfrontend placement isolates training ("
             << impact(frontend) << " impact) at the cost of slower checkpoints ("

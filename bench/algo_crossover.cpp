@@ -34,8 +34,9 @@ double run_ms(ccl::RingAlgorithm algo, std::int64_t kilobytes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Extension — ring vs tree AllReduce crossover (256 GPUs)",
                 "log-depth trees win on latency (small payloads); rings win on "
                 "bandwidth (2(H-1)/H bytes per edge); kAuto switches at the "
@@ -51,7 +52,7 @@ int main() {
     t.add_row({to_string(DataSize::kilobytes(kb)), metrics::Table::num(ring, 3),
                metrics::Table::num(tree, 3), ring < tree ? "ring" : "tree"});
   }
-  bench::emit(t, "algo_crossover");
+  bench::emit(t, "algo_crossover", args);
 
   std::cout << "\nmeasured crossover near "
             << (crossover_kb > 0 ? to_string(DataSize::kilobytes(crossover_kb)) : "none")

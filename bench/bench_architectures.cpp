@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
                std::to_string(r.tor_loss.isolated_hosts),
                std::to_string(r.tor_loss.degraded_hosts)});
   }
-  bench::emit(t, "bench_architectures");
+  bench::emit(t, "bench_architectures", args);
 
   // The §2.3 headline, across the whole zoo: dual-homed access keeps ToR
   // loss a degradation, single-homed access makes it an outage.

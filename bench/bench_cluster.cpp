@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     }
     csv.add_row(std::move(cells));
   }
-  bench::emit(csv, "bench_cluster");
+  bench::emit(csv, "bench_cluster", args);
 
   const auto mean_for = [&](cluster::Policy policy) {
     double jct = 0.0;

@@ -31,7 +31,9 @@ inline constexpr const char* kResultsDir = "results";
 ///                    are byte-identical at any shard count — the flag
 ///                    trades wall time, never output)
 ///   --csv <path>     write the result CSV to an explicit file instead of
-///                    the default results/<bench-name>.csv
+///                    the default results/<bench-name>.csv (benches that
+///                    write several tables parse with parse_multi_table(),
+///                    which rejects it)
 ///
 /// Parsing is strict: an unknown flag, a positional argument, a missing
 /// value, or a non-numeric count prints a usage line to stderr and exits 2
@@ -57,13 +59,7 @@ struct Args {
   static Args parse(int argc, char** argv,
                     std::initializer_list<const char*> extra_value_flags = {}) {
     const auto fail = [&](const std::string& why) {
-      std::cerr << "error: " << why << "\n"
-                << "usage: " << (argc > 0 ? argv[0] : "bench")
-                << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]"
-                << " [--shards N]";
-      for (const char* f : extra_value_flags) std::cerr << " [" << f << " <value>]";
-      std::cerr << "\n";
-      std::exit(2);
+      usage_error(argc, argv, extra_value_flags, why);
     };
     const auto need_value = [&](int& i, const char* flag) -> const char* {
       if (i + 1 >= argc) fail(std::string{"missing value for "} + flag);
@@ -108,6 +104,31 @@ struct Args {
       }
     }
     return a;
+  }
+
+  /// parse() for benches that write several tables: --csv names one file,
+  /// so it is a usage error (exit 2) rather than silently ignored.
+  static Args parse_multi_table(int argc, char** argv,
+                                std::initializer_list<const char*> extra_value_flags = {}) {
+    Args a = parse(argc, argv, extra_value_flags);
+    if (!a.csv_path.empty()) {
+      usage_error(argc, argv, extra_value_flags,
+                  "--csv names one file but this bench writes several tables");
+    }
+    return a;
+  }
+
+ private:
+  [[noreturn]] static void usage_error(int argc, char** argv,
+                                       std::initializer_list<const char*> extra_value_flags,
+                                       const std::string& why) {
+    std::cerr << "error: " << why << "\n"
+              << "usage: " << (argc > 0 ? argv[0] : "bench")
+              << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]"
+              << " [--shards N]";
+    for (const char* f : extra_value_flags) std::cerr << " [" << f << " <value>]";
+    std::cerr << "\n";
+    std::exit(2);
   }
 };
 

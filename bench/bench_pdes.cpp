@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
                metrics::Table::percent(r.local_fraction, 1),
                match ? "yes" : "NO"});
   }
-  bench::emit(t, "bench_pdes");
+  bench::emit(t, "bench_pdes", args);
   std::cout << "chunk-hops per run: " << serial.chunk_hops
             << " (work metric; identical across decompositions)\n";
 

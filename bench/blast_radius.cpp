@@ -26,8 +26,9 @@ void sweep(metrics::Table& t, const char* arch, topo::Cluster& c) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("§2.3 — failure blast radii (worst single component)",
                 "single-ToR: a ToR crash isolates every host on it (job halts); "
                 "dual-ToR HPN: zero hosts isolated by any single failure");
@@ -55,7 +56,7 @@ int main() {
     topo::Cluster c = topo::build_dcn_plus(cfg);
     sweep(t, "3-tier, single-ToR", c);
   }
-  bench::emit(t, "blast_radius");
+  bench::emit(t, "blast_radius", args);
 
   std::cout << "\ndual-ToR's whole point in one column: isolated_hosts = 0 for every "
                "single-component failure (§9.3: none observed in 8 months)\n";

@@ -4,8 +4,9 @@
 #include "bench_common.h"
 #include "workload/traffic.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 1 — traditional cloud computing traffic pattern",
                 "traffic in/out ~0.5-2 Gbps (<20% utilization), connections ~100-200K, "
                 "changing slowly over 24h");
@@ -21,7 +22,7 @@ int main() {
                metrics::Table::num(s.out_gbps),
                metrics::Table::num(s.connections / 1000.0, 0)});
   }
-  bench::emit(t, "fig01_cloud_traffic");
+  bench::emit(t, "fig01_cloud_traffic", args);
 
   std::cout << "\npeak utilization of a 400G host: "
             << metrics::Table::percent(peak_gbps / 400.0, 2)

@@ -4,8 +4,9 @@
 #include "bench_common.h"
 #include "workload/traffic.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 2 — NIC egress traffic pattern during model training",
                 "periodic bursts that instantly fill the 400Gbps NIC, lasting seconds "
                 "to tens of seconds, simultaneously on all 8 NICs");
@@ -26,7 +27,7 @@ int main() {
     }
     t.add_row(std::move(row));
   }
-  bench::emit(t, "fig02_nic_bursts");
+  bench::emit(t, "fig02_nic_bursts", args);
 
   const auto s = traces[0].summary();
   std::cout << "\nNIC-1 peak " << metrics::Table::num(s.max(), 0) << " Gbps, trough "

@@ -4,8 +4,9 @@
 #include "metrics/stats.h"
 #include "workload/traffic.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 3 — number of connections per host (CDF)",
                 "LLM training hosts use only a few dozen to hundreds of connections "
                 "(log x-axis 10^0..10^3)");
@@ -23,7 +24,7 @@ int main() {
     t.add_row({metrics::Table::percent(q, 0), metrics::Table::num(llm.quantile(q), 0),
                metrics::Table::num(cloud.quantile(q), 0)});
   }
-  bench::emit(t, "fig03_connection_cdf");
+  bench::emit(t, "fig03_connection_cdf", args);
 
   std::cout << "\nLLM median " << metrics::Table::num(llm.median(), 0)
             << " connections vs cloud median " << metrics::Table::num(cloud.median(), 0)

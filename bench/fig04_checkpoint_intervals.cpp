@@ -4,8 +4,9 @@
 #include "fault/checkpoint.h"
 #include "workload/traffic.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 4 — checkpoint intervals of representative LLM jobs",
                 "intervals range 2-4 hours; checkpoint ~30GB/GPU, ~100s to write; "
                 "a crash rolls back hours and costs ~$30K for a 3K-GPU job");
@@ -25,6 +26,6 @@ int main() {
                metrics::Table::percent(model.overhead_fraction(), 2),
                metrics::Table::num(cost.dollars, 0)});
   }
-  bench::emit(t, "fig04_checkpoint_intervals");
+  bench::emit(t, "fig04_checkpoint_intervals", args);
   return 0;
 }

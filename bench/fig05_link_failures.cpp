@@ -3,8 +3,9 @@
 #include "bench_common.h"
 #include "workload/traffic.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 5 — monthly link failure ratio",
                 "0.057% of NIC-ToR links fail each month; 0.051% of ToRs crash; a "
                 "single large LLM job sees 1-2 crashes per month; 5K-60K daily flaps");
@@ -20,7 +21,7 @@ int main() {
     sum += ratio;
     t.add_row({m, metrics::Table::num(ratio * 100.0, 3)});
   }
-  bench::emit(t, "fig05_link_failures");
+  bench::emit(t, "fig05_link_failures", args);
 
   std::cout << "\nmean monthly link failure ratio: "
             << metrics::Table::percent(sum / 12.0, 3) << " (paper: 0.057%)\n";

@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   t.add_row({"dual-plane", metrics::Table::num(dual.port_gbps[0], 1),
              metrics::Table::num(dual.port_gbps[1], 1), metrics::Table::num(imbalance(dual), 2),
              metrics::Table::num(dual.queue_kb[0], 1), metrics::Table::num(dual.queue_kb[1], 1)});
-  bench::emit(t, "fig13_14_dualplane_queues");
+  bench::emit(t, "fig13_14_dualplane_queues", args);
 
   const double clos_peak_q = std::max(clos.queue_kb[0], clos.queue_kb[1]);
   const double dual_avg_q = (dual.queue_kb[0] + dual.queue_kb[1]) / 2.0;

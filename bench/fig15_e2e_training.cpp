@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
              metrics::Table::num(dcn.agg_gbps, 0), metrics::Table::num(dcn.agg_queue_mb, 2)});
   t.add_row({"HPN", metrics::Table::num(hpn.samples_per_sec, 1),
              metrics::Table::num(hpn.agg_gbps, 0), metrics::Table::num(hpn.agg_queue_mb, 2)});
-  bench::emit(t, "fig15_e2e_training");
+  bench::emit(t, "fig15_e2e_training", args);
 
   std::cout << "\n(a) end-to-end gain: "
             << metrics::Table::percent(hpn.samples_per_sec / dcn.samples_per_sec - 1.0, 1)

@@ -38,8 +38,9 @@ double run_model(bool hpn, const workload::ModelPreset& model, int pp) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 16 — representative LLM training, 448 GPUs (56 hosts)",
                 "HPN over DCN+: LLaMa-7B +7.9%, LLaMa-13B +14.4%, GPT3-175B +6.3%");
 
@@ -61,6 +62,6 @@ int main() {
     t.add_row({c.model.name, metrics::Table::num(dcn, 1), metrics::Table::num(hpn, 1),
                metrics::Table::percent(hpn / dcn - 1.0, 1)});
   }
-  bench::emit(t, "fig16_llm_models");
+  bench::emit(t, "fig16_llm_models", args);
   return 0;
 }

@@ -87,8 +87,9 @@ void sweep(const char* title, const char* csv, const Op& op,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  bench::Args::parse_multi_table(argc, argv);
   bench::banner("Figure 17 — collective communication, 448 GPUs (56 hosts)",
                 "(a) AllReduce: HPN up to +59.3%; (b) AllGather: parity, NVSwitch-"
                 "bound; (c) Multi-AllReduce: HPN up to +158.2%");

@@ -165,7 +165,7 @@ std::string fmt(double v) { return hpn::metrics::Table::num(v, 1); }
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse_multi_table(argc, argv);
   bench::banner("Figure 18 — performance under NIC-ToR link malfunctions (256 GPUs)",
                 "(a) failure: single-ToR halts (crashes if repair > timeout); dual-ToR "
                 "loses only ~6.25%; (b) flapping: single-ToR stalls >9s, dual-ToR "

@@ -41,8 +41,9 @@ double run_busbw(bool dual_plane, int gpus) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Figure 19 — AllReduce with vs without dual-plane (4GB, cross-segment)",
                 "dual-plane improves AllReduce by 50.1%-63.7% when the job straddles "
                 "two segments");
@@ -55,6 +56,6 @@ int main() {
     t.add_row({std::to_string(n), metrics::Table::num(single, 1),
                metrics::Table::num(dual, 1), metrics::Table::percent(dual / single - 1.0, 1)});
   }
-  bench::emit(t, "fig19_dualplane_allreduce");
+  bench::emit(t, "fig19_dualplane_allreduce", args);
   return 0;
 }

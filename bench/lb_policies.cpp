@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
     t.add_row({names[i], metrics::Table::num(rows[i].max_load, 2),
                metrics::Table::percent(rows[i].reordered_fraction, 0)});
   }
-  bench::emit(t, "lb_policies");
+  bench::emit(t, "lb_policies", args);
 
   std::cout << "\nHPN never doubles up a link (max "
             << metrics::Table::num(rows[3].max_load, 2) << " elephants/link vs per-flow "

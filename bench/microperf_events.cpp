@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
   row("pooled_schedule_cancel", new_cancel, ref_cancel.best_ms);
   row("seed_packet_incast", ref_incast, ref_incast.best_ms);
   row("dense_packet_incast", new_incast, ref_incast.best_ms);
-  bench::emit(t, "microperf_events");
+  bench::emit(t, "microperf_events", args);
 
   const double incast_speedup = ref_incast.best_ms / new_incast.best_ms;
   std::cout << "\nfig13/14-style incast: " << new_stats.events << " events in "

@@ -466,7 +466,7 @@ int run_scaling_section(bool smoke, std::size_t max_flows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hpn::bench::Args args = hpn::bench::Args::parse(argc, argv, {"--flows"});
+  const hpn::bench::Args args = hpn::bench::Args::parse_multi_table(argc, argv, {"--flows"});
   std::size_t max_flows = std::numeric_limits<std::size_t>::max();
   if (const std::string* flows = args.extra_value("--flows")) {
     max_flows = static_cast<std::size_t>(std::strtoull(flows->c_str(), nullptr, 10));

@@ -95,8 +95,9 @@ double run_hol_victim(bool congested) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  bench::Args::parse_multi_table(argc, argv);
   bench::banner("Packet-level substrate — lossless RoCE incast & HoL blocking",
                 "PFC keeps incasts lossless (drops collapse FCT recovery in lossy "
                 "mode); but PFC pauses bill innocent flows sharing the paused port — "

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   t.add_row({"dual-ToR (HPN)", std::to_string(dual.events), std::to_string(dual.crashes),
              std::to_string(dual.degradations), metrics::Table::num(dual.dollars, 0),
              metrics::Table::percent(dual.goodput, 2)});
-  bench::emit(t, "soak_reliability");
+  bench::emit(t, "soak_reliability", args);
 
   std::cout << "\nsingle-ToR crash rate: " << metrics::Table::num(single.crashes / 12.0, 1)
             << "/month (paper arithmetic: 1-2); dual-ToR eliminates all "

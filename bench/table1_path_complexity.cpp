@@ -8,8 +8,9 @@
 #include "topo/builders.h"
 #include "topo/scale.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Table 1 — complexity of path selection",
                 "HPN O(60) vs SuperPod O(4096), Jupiter O(2048), fat tree k=48 O(2304): "
                 "1-2 orders of magnitude smaller search space");
@@ -32,7 +33,7 @@ int main() {
                std::to_string(is_hpn ? static_cast<std::int64_t>(measured)
                                      : row.search_space)});
   }
-  bench::emit(t, "table1_path_complexity");
+  bench::emit(t, "table1_path_complexity", args);
 
   std::cout << "\nmeasured HPN ToR ECMP fan-out: " << measured
             << " uplinks (paper: O(60)); failure recovery only refreshes this one "

@@ -5,8 +5,9 @@
 #include "bench_common.h"
 #include "workload/parallelism.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Table 3 — traffic patterns of different parallelisms",
                 "DP 5.5GB AllReduce; PP 6MB Send/Recv; TP 560MB AllReduce/AllGather "
                 "(GPT-3 175B, TP=8 PP=8 DP=512)");
@@ -20,7 +21,7 @@ int main() {
              "tier3 (15:1 oversubscribed, tolerant)"});
   t.add_row({"TP", to_string(model.traffic.tp_all_reduce), "AllReduce/AllGather",
              "intra-host NVLink"});
-  bench::emit(t, "table3_parallelism_traffic");
+  bench::emit(t, "table3_parallelism_traffic", args);
 
   // The §7 argument in numbers: bandwidth demand ratios.
   const double dp_over_pp =

@@ -7,8 +7,9 @@
 #include "topo/builders.h"
 #include "topo/scale.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpn;
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Table 4 — any-to-any tier2 vs rail-only tier2",
                 "any-to-any: 2 planes / 15,360 GPUs / no limitation; rail-only: 16 "
                 "planes / 122,880 GPUs / rail-only communication (MoE all-to-all and "
@@ -21,7 +22,7 @@ int main() {
   t.add_row({"# tier2 planes", std::to_string(any.tier2_planes), std::to_string(rail.tier2_planes)});
   t.add_row({"# GPUs in a Pod", std::to_string(any.gpus_per_pod), std::to_string(rail.gpus_per_pod)});
   t.add_row({"communication limitations", "none", "rail-only"});
-  bench::emit(t, "table4_railonly");
+  bench::emit(t, "table4_railonly", args);
 
   // Structural check at reduced scale: cross-rail reachability through the
   // fabric exists under any-to-any but not under rail-only.

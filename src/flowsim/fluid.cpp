@@ -28,7 +28,12 @@ FlowId FluidSimulator::start_flow(std::vector<LinkId> path, Bandwidth cap, DataS
   f.infinite = size.as_bits() == std::numeric_limits<std::int64_t>::max();
   f.remaining_bits = static_cast<double>(size.as_bits());
   f.on_complete = std::move(on_complete);
-  for (const LinkId l : f.path) links_.try_emplace(l);
+  f.hops.reserve(f.path.size());
+  for (const LinkId l : f.path) {
+    const auto [it, added] = links_.try_emplace(l);
+    if (added) it->second.cap_bps = topo_->link(l).capacity.as_bits_per_sec();
+    f.hops.push_back(&it->second);
+  }
   if (sim_->auditor().enabled() && !f.infinite) {
     audit_injected_bits_ += f.remaining_bits;
   }
@@ -108,18 +113,21 @@ void FluidSimulator::tick() {
   // 1. Offered arrivals per link.
   for (auto& [lid, st] : links_) st.arrival_bps = 0.0;
   for (const auto& [fid, f] : flows_) {
-    for (const LinkId l : f.path) links_.at(l).arrival_bps += f.rate_bps;
+    for (LinkState* st : f.hops) st->arrival_bps += f.rate_bps;
   }
 
-  // 2. Queues integrate (arrival - capacity).
+  // 2. Queues integrate (arrival - capacity); each link's bottleneck scale
+  //    and ECN mark probability are computed once here for step 3.
   const metrics::Tracer& tracer = sim_->tracer();
   const bool sample =
       tracer.enabled() && config_.trace_sample_every > 0 &&
       tick_count_++ % static_cast<std::uint64_t>(config_.trace_sample_every) == 0;
   for (auto& [lid, st] : links_) {
-    const double cap = topo_->link(lid).capacity.as_bits_per_sec();
+    const double cap = st.cap_bps;
     st.delivered_bps = std::min(st.arrival_bps + st.queue_bits / dt, cap);
     st.queue_bits = std::max(0.0, st.queue_bits + (st.arrival_bps - cap) * dt);
+    st.scale = st.arrival_bps > cap ? cap / st.arrival_bps : 1.0;
+    st.p_mark = mark_probability(st.queue_bits);
     if (sample && tracer.watching(lid)) {
       const auto link = static_cast<std::uint32_t>(lid.value());
       sim_->trace(metrics::TraceEventKind::kQueueDepth, link, metrics::kTraceNoId,
@@ -132,13 +140,13 @@ void FluidSimulator::tick() {
   // 3. Per-flow goodput, data accounting and DCQCN feedback.
   std::vector<std::pair<FlowId, CompletionFn>> done;
   for (auto& [fid, f] : flows_) {
+    // An unsaturated hop's scale is 1.0 and `scale` never exceeds 1.0, so
+    // min() leaves it unchanged there, exactly as skipping the hop would.
     double scale = 1.0;
     double p_mark = 0.0;
-    for (const LinkId l : f.path) {
-      const LinkState& st = links_.at(l);
-      const double cap = topo_->link(l).capacity.as_bits_per_sec();
-      if (st.arrival_bps > cap) scale = std::min(scale, cap / st.arrival_bps);
-      p_mark = std::max(p_mark, mark_probability(st.queue_bits));
+    for (const LinkState* st : f.hops) {
+      scale = std::min(scale, st->scale);
+      p_mark = std::max(p_mark, st->p_mark);
     }
     f.goodput_bps = f.rate_bps * scale;
     if (!f.infinite) {
@@ -186,7 +194,7 @@ void FluidSimulator::audit_tick() {
   }
 
   for (const auto& [lid, st] : links_) {
-    const double cap = topo_->link(lid).capacity.as_bits_per_sec();
+    const double cap = st.cap_bps;
     auditor.check(st.queue_bits >= 0.0, sim::AuditRule::kNegativeQueue, now, [&] {
       std::ostringstream os;
       os << "fluid queue on link " << lid.value() << " is " << st.queue_bits << " bits";

@@ -67,20 +67,28 @@ class FluidSimulator {
   [[nodiscard]] const FluidConfig& config() const { return config_; }
 
  private:
+  struct LinkState {
+    double queue_bits = 0.0;
+    double arrival_bps = 0.0;
+    double delivered_bps = 0.0;
+    double cap_bps = 0.0;  ///< topo_->link(id).capacity; capacities never change.
+    /// Set by each tick's queue step for the flow step: the link's
+    /// bottleneck scale min(1, cap/arrival) and its ECN marking probability.
+    double scale = 1.0;
+    double p_mark = 0.0;
+  };
+
   struct ActiveFlow {
     std::vector<LinkId> path;
+    /// links_ nodes of `path`, hop for hop. unordered_map node addresses
+    /// survive rehashing and links are never erased, so these stay valid.
+    std::vector<LinkState*> hops;
     double cap_bps = 0.0;
     double rate_bps = 0.0;
     double goodput_bps = 0.0;
     double remaining_bits = 0.0;
     bool infinite = false;
     CompletionFn on_complete;
-  };
-
-  struct LinkState {
-    double queue_bits = 0.0;
-    double arrival_bps = 0.0;
-    double delivered_bps = 0.0;
   };
 
   void tick();

@@ -209,8 +209,7 @@ void ShardedFlowNet::write_trace_csv(std::ostream& os) const {
     HPN_CHECK_MSG(tr.dropped() == 0,
                   "shard " << s << " trace ring overflowed (" << tr.dropped()
                            << " dropped) — raise enable_tracing capacity");
-    const std::vector<metrics::TraceEvent> evs = tr.events();
-    all.insert(all.end(), evs.begin(), evs.end());
+    tr.for_each([&](const metrics::TraceEvent& ev) { all.push_back(ev); });
   }
   std::stable_sort(all.begin(), all.end(),
                    [](const metrics::TraceEvent& x, const metrics::TraceEvent& y) {

@@ -42,12 +42,12 @@ void Tracer::enable(std::size_t capacity) {
   if (ring_.size() != capacity) {
     ring_.assign(capacity, TraceEvent{});
     total_ = 0;
+    invalidate_index();
   }
   enabled_ = true;
 }
 
 void Tracer::push(const TraceEvent& ev) {
-  if (ring_.empty()) ring_.assign(1u << 20, TraceEvent{});  // enable() skipped
   ring_[total_ % ring_.size()] = ev;
   ++total_;
 }
@@ -69,46 +69,78 @@ std::uint64_t Tracer::dropped() const {
 void Tracer::clear() {
   total_ = 0;
   next_span_ = 1;
+  invalidate_index();
+}
+
+namespace {
+
+std::uint64_t index_key(TraceEventKind kind, std::uint32_t a) {
+  return std::uint64_t{static_cast<std::uint8_t>(kind)} << 32 | a;
+}
+
+}  // namespace
+
+std::span<const Tracer::IndexEntry> Tracer::lookup(TraceEventKind kind,
+                                                   std::uint32_t a) const {
+  if (indexed_total_ != total_) {
+    // Slots in chronological order; the stable sort keeps that order
+    // within each key.
+    index_.clear();
+    index_.reserve(size());
+    for_each([&](const TraceEvent& ev) {
+      index_.push_back({index_key(ev.kind, ev.a),
+                        static_cast<std::size_t>(&ev - ring_.data())});
+    });
+    std::stable_sort(index_.begin(), index_.end(),
+                     [](const IndexEntry& x, const IndexEntry& y) { return x.key < y.key; });
+    indexed_total_ = total_;
+  }
+  const std::uint64_t key = index_key(kind, a);
+  const auto lo = std::partition_point(index_.begin(), index_.end(),
+                                       [key](const IndexEntry& e) { return e.key < key; });
+  const auto hi =
+      std::partition_point(lo, index_.end(), [key](const IndexEntry& e) { return e.key == key; });
+  return {lo, hi};
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  const std::size_t start = static_cast<std::size_t>(total_ - n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(ring_[(start + i) % ring_.size()]);
+  out.reserve(size());
+  for_each([&](const TraceEvent& ev) { out.push_back(ev); });
   return out;
 }
 
 std::vector<TraceEvent> Tracer::events_of(TraceEventKind kind, std::uint32_t a) const {
   std::vector<TraceEvent> out;
-  for (const TraceEvent& ev : events()) {
-    if (ev.kind != kind) continue;
-    if (a != kTraceNoId && ev.a != a) continue;
-    out.push_back(ev);
+  if (a != kTraceNoId) {
+    const std::span<const IndexEntry> hits = lookup(kind, a);
+    out.reserve(hits.size());
+    for (const IndexEntry& e : hits) out.push_back(ring_[e.slot]);
+    return out;
   }
+  for_each([&](const TraceEvent& ev) {
+    if (ev.kind == kind) out.push_back(ev);
+  });
   return out;
 }
 
 TimeSeries Tracer::series(TraceEventKind kind, std::uint32_t a) const {
   TimeSeries ts{std::string{to_string(kind)} + ":" + std::to_string(a)};
-  for (const TraceEvent& ev : events()) {
-    if (ev.kind == kind && ev.a == a) ts.record(ev.at, ev.value);
-  }
+  for (const IndexEntry& e : lookup(kind, a)) ts.record(ring_[e.slot].at, ring_[e.slot].value);
   return ts;
 }
 
 void Tracer::write_csv(std::ostream& os) const {
   os << "time_ns,kind,a,b,value,label\n";
   char num[32];
-  for (const TraceEvent& ev : events()) {
+  for_each([&](const TraceEvent& ev) {
     os << ev.at.as_nanos() << ',' << to_string(ev.kind) << ',';
     if (ev.a != kTraceNoId) os << ev.a;
     os << ',';
     if (ev.b != kTraceNoId) os << ev.b;
     std::snprintf(num, sizeof num, "%.9g", ev.value);
     os << ',' << num << ',' << (ev.label != nullptr ? ev.label : "") << '\n';
-  }
+  });
 }
 
 namespace {
@@ -129,7 +161,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   char num[32];
-  for (const TraceEvent& ev : events()) {
+  for_each([&](const TraceEvent& ev) {
     if (!first) os << ",\n";
     first = false;
     const std::string_view kind = to_string(ev.kind);
@@ -182,7 +214,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
         break;
       }
     }
-  }
+  });
   os << "\n]}\n";
 }
 

@@ -12,10 +12,18 @@
 // nothing allocates, nothing records. Enabled, events land in a fixed-size
 // ring (oldest overwritten first, drops counted), exportable as CSV or as
 // Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
+//
+// Exporters and scans walk the ring in place (for_each), and per-entity
+// queries — series(kind, a), events_of(kind, a) — answer from an index
+// built on the first such query after the ring changed, so reading back
+// one series per watched link costs O(log n + hits), not a full-ring copy.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,6 +120,27 @@ class Tracer {
   [[nodiscard]] bool empty() const { return total_ == 0; }
   void clear();
 
+  // ---- Queries --------------------------------------------------------------
+  // series() and events_of() with an entity answer from a query index: each
+  // retained event's (kind, a) key, grouped by key and chronological within
+  // a key. It is built on the first such query after the ring changed —
+  // record(), clear() and enable() with a new capacity all invalidate it —
+  // so record() does no index work. Building it from a const query mutates
+  // cached state: one Tracer must not be queried from two threads at once
+  // (each Simulator owns its own tracer; nothing shares one across threads).
+
+  /// Calls `fn(const TraceEvent&)` on every retained event, oldest first,
+  /// in place: the ring is at most two contiguous runs and nothing is copied.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::size_t n = size();
+    if (n == 0) return;
+    const std::size_t head = static_cast<std::size_t>((total_ - n) % ring_.size());
+    const std::size_t first = std::min(n, ring_.size() - head);
+    for (std::size_t i = head; i < head + first; ++i) fn(ring_[i]);
+    for (std::size_t i = 0; i < n - first; ++i) fn(ring_[i]);
+  }
+
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// Retained events of one kind (optionally one primary entity), in order.
@@ -133,7 +162,19 @@ class Tracer {
   bool save(const std::string& path) const;
 
  private:
+  /// One index entry: a retained event's (kind, a) key and its ring slot.
+  struct IndexEntry {
+    std::uint64_t key;
+    std::size_t slot;
+  };
+  static constexpr std::uint64_t kNotIndexed = ~std::uint64_t{0};
+
   void push(const TraceEvent& ev);
+  /// Ring slots of the retained (kind, a) events, oldest first; rebuilds
+  /// the index if the ring changed since it was built.
+  [[nodiscard]] std::span<const IndexEntry> lookup(TraceEventKind kind,
+                                                   std::uint32_t a) const;
+  void invalidate_index() { indexed_total_ = kNotIndexed; }
 
   bool enabled_ = false;
   bool watch_all_ = false;
@@ -141,6 +182,9 @@ class Tracer {
   std::uint64_t total_ = 0;  ///< Events ever recorded; next slot = total_ % cap.
   std::uint32_t next_span_ = 1;
   std::vector<std::uint8_t> watched_;  ///< Dense by LinkId index.
+  /// Query index (see "Queries"), valid while indexed_total_ == total_.
+  mutable std::vector<IndexEntry> index_;
+  mutable std::uint64_t indexed_total_ = kNotIndexed;
 };
 
 }  // namespace hpn::metrics

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace hpn::metrics {
 namespace {
@@ -187,6 +191,159 @@ TEST(TracerTest, SavePicksFormatBySuffix) {
   std::remove(json_path.c_str());
 
   EXPECT_FALSE(t.save("/nonexistent-dir/trace.json"));
+}
+
+// ---- Query differential -----------------------------------------------------
+// series(kind, a) and events_of(kind, a) answer from a lazily built index;
+// the oracle is a brute-force filter over events(), which in turn must be
+// exactly the last capacity() events recorded.
+
+bool same_event(const TraceEvent& x, const TraceEvent& y) {
+  return x.at == y.at && x.kind == y.kind && x.a == y.a && x.b == y.b &&
+         std::memcmp(&x.value, &y.value, sizeof x.value) == 0 && x.label == y.label;
+}
+
+constexpr TraceEventKind kQueryKinds[] = {TraceEventKind::kQueueDepth,
+                                          TraceEventKind::kLinkUtilization,
+                                          TraceEventKind::kFlowStart, TraceEventKind::kLinkDown};
+/// Entities 0..5 are recorded; 6 and 99 never are; kTraceNoId sometimes is.
+constexpr std::uint32_t kQueryEntities[] = {0, 1, 2, 3, 4, 5, 6, 99, kTraceNoId};
+
+class TracerQueryTest : public ::testing::Test {
+ protected:
+  Tracer t;
+  Rng rng{20241017};
+  std::vector<TraceEvent> recorded;  ///< Everything since the last reset.
+  std::int64_t now_us = 0;
+
+  void record(int n) {
+    static const char* const kLabels[] = {nullptr, "fluid", "all_reduce"};
+    for (int i = 0; i < n; ++i) {
+      now_us += rng.uniform_int(0, 3);  // repeated timestamps included
+      const auto kind = kQueryKinds[rng.uniform_index(3)];  // never kLinkDown
+      const std::uint32_t a = rng.uniform_int(0, 9) == 0
+                                  ? kTraceNoId
+                                  : static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+      const std::uint32_t b = static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+      const TraceEvent ev{at_us(now_us), kind, a, b, rng.uniform_real(0.0, 1e6),
+                          kLabels[rng.uniform_index(3)]};
+      t.record(ev.at, ev.kind, ev.a, ev.b, ev.value, ev.label);
+      recorded.push_back(ev);
+    }
+  }
+
+  void reset_shadow() {
+    recorded.clear();
+    now_us = 0;
+  }
+
+  void expect_queries_match() {
+    const std::vector<TraceEvent> all = t.events();
+    const std::size_t kept = std::min(recorded.size(), t.capacity());
+    ASSERT_EQ(all.size(), kept);
+    ASSERT_EQ(t.size(), kept);
+    EXPECT_EQ(t.dropped(), recorded.size() - kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+      ASSERT_TRUE(same_event(all[i], recorded[recorded.size() - kept + i])) << "event " << i;
+    }
+    for (const TraceEventKind kind : kQueryKinds) {
+      std::vector<TraceEvent> of_kind;
+      for (const TraceEvent& ev : all) {
+        if (ev.kind == kind) of_kind.push_back(ev);
+      }
+      const std::vector<TraceEvent> got_kind = t.events_of(kind);
+      ASSERT_EQ(got_kind.size(), of_kind.size()) << to_string(kind);
+      for (std::size_t i = 0; i < of_kind.size(); ++i) {
+        EXPECT_TRUE(same_event(got_kind[i], of_kind[i])) << to_string(kind) << " #" << i;
+      }
+      for (const std::uint32_t a : kQueryEntities) {
+        std::vector<TraceEvent> want;
+        for (const TraceEvent& ev : all) {
+          if (ev.kind == kind && ev.a == a) want.push_back(ev);
+        }
+        const TimeSeries ts = t.series(kind, a);
+        ASSERT_EQ(ts.size(), want.size()) << to_string(kind) << ":" << a;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(ts.points()[i].at, want[i].at);
+          EXPECT_EQ(std::memcmp(&ts.points()[i].value, &want[i].value, sizeof(double)), 0);
+        }
+        if (a == kTraceNoId) continue;  // events_of treats kTraceNoId as "any"
+        const std::vector<TraceEvent> got = t.events_of(kind, a);
+        ASSERT_EQ(got.size(), want.size()) << to_string(kind) << ":" << a;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_TRUE(same_event(got[i], want[i])) << to_string(kind) << ":" << a << " #" << i;
+        }
+      }
+    }
+  }
+};
+
+TEST_F(TracerQueryTest, WrappedRingMatchesBruteForce) {
+  t.enable(64);
+  record(1000);
+  ASSERT_GT(t.dropped(), 0u);
+  expect_queries_match();
+}
+
+TEST_F(TracerQueryTest, QueriesInterleavedWithRecording) {
+  t.enable(128);
+  for (const int n : {0, 1, 50, 30, 47, 200, 1, 128, 3}) {
+    record(n);
+    expect_queries_match();
+  }
+  EXPECT_GT(t.dropped(), 0u);
+}
+
+// No query between the reset and the re-recording: the ring ends at the
+// same event count the index was built at, so only the reset itself can
+// mark the index stale.
+TEST_F(TracerQueryTest, ClearThenRerecordToSameTotal) {
+  t.enable(32);
+  record(40);
+  expect_queries_match();
+  t.clear();
+  reset_shadow();
+  record(40);
+  expect_queries_match();
+  t.clear();
+  reset_shadow();
+  expect_queries_match();  // empty
+}
+
+TEST_F(TracerQueryTest, EnableWithNewCapacityInvalidates) {
+  t.enable(32);
+  record(40);
+  expect_queries_match();
+  t.enable(48);  // reallocates and clears
+  reset_shadow();
+  record(40);
+  expect_queries_match();
+  t.enable(48);  // same capacity: events (and index) stay
+  expect_queries_match();
+  record(100);
+  expect_queries_match();
+}
+
+TEST_F(TracerQueryTest, EntityWithoutEventsIsEmpty) {
+  t.enable(256);
+  record(200);
+  EXPECT_TRUE(t.series(TraceEventKind::kQueueDepth, 99).empty());
+  EXPECT_TRUE(t.events_of(TraceEventKind::kQueueDepth, 6).empty());
+  EXPECT_TRUE(t.events_of(TraceEventKind::kLinkDown, 1).empty());
+  EXPECT_EQ(t.series(TraceEventKind::kLinkDown, 1).name(), "link_down:1");
+  expect_queries_match();
+}
+
+TEST_F(TracerQueryTest, SeededStreamsMatchBruteForce) {
+  for (const std::size_t cap : {1u, 2u, 7u, 64u, 1000u}) {
+    t.enable(cap);
+    t.clear();
+    reset_shadow();
+    for (int round = 0; round < 6; ++round) {
+      record(static_cast<int>(rng.uniform_int(0, 300)));
+      expect_queries_match();
+    }
+  }
 }
 
 }  // namespace
