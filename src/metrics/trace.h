@@ -13,10 +13,11 @@
 // ring (oldest overwritten first, drops counted), exportable as CSV or as
 // Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
 //
-// Exporters and scans walk the ring in place (for_each), and per-entity
-// queries — series(kind, a), events_of(kind, a) — answer from an index
-// built on the first such query after the ring changed, so reading back
-// one series per watched link costs O(log n + hits), not a full-ring copy.
+// Exporters and scans walk the ring in place through a private for_each,
+// and per-entity queries — series(kind, a), events_of(kind, a) — answer
+// from an index built on the first such query after the ring changed, so
+// reading back one series per watched link costs O(log n + hits), not a
+// full-ring copy.
 #pragma once
 
 #include <algorithm>
@@ -129,18 +130,6 @@ class Tracer {
   // cached state: one Tracer must not be queried from two threads at once
   // (each Simulator owns its own tracer; nothing shares one across threads).
 
-  /// Calls `fn(const TraceEvent&)` on every retained event, oldest first,
-  /// in place: the ring is at most two contiguous runs and nothing is copied.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    const std::size_t n = size();
-    if (n == 0) return;
-    const std::size_t head = static_cast<std::size_t>((total_ - n) % ring_.size());
-    const std::size_t first = std::min(n, ring_.size() - head);
-    for (std::size_t i = head; i < head + first; ++i) fn(ring_[i]);
-    for (std::size_t i = 0; i < n - first; ++i) fn(ring_[i]);
-  }
-
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// Retained events of one kind (optionally one primary entity), in order.
@@ -170,6 +159,17 @@ class Tracer {
   static constexpr std::uint64_t kNotIndexed = ~std::uint64_t{0};
 
   void push(const TraceEvent& ev);
+  /// Calls `fn(const TraceEvent&)` on every retained event, oldest first,
+  /// in place: the ring is at most two contiguous runs and nothing is copied.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::size_t n = size();
+    if (n == 0) return;
+    const std::size_t head = static_cast<std::size_t>((total_ - n) % ring_.size());
+    const std::size_t first = std::min(n, ring_.size() - head);
+    for (std::size_t i = head; i < head + first; ++i) fn(ring_[i]);
+    for (std::size_t i = 0; i < n - first; ++i) fn(ring_[i]);
+  }
   /// Ring slots of the retained (kind, a) events, oldest first; rebuilds
   /// the index if the ring changed since it was built.
   [[nodiscard]] std::span<const IndexEntry> lookup(TraceEventKind kind,

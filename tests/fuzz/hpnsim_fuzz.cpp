@@ -3,8 +3,8 @@
 //   hpnsim_fuzz --runs 500 --jobs 4 --seed 1 --out tests/fuzz/regressions
 //   hpnsim_fuzz --replay path/to/repro.scenario [--expect-clean]
 //   hpnsim_fuzz --runs 120 --jobs 8 --csv sweep.csv
-//   hpnsim_fuzz --runs 250 --shards 4          # + PDES differential phase
 //   hpnsim_fuzz --runs 250 --aggregate         # + macro-flow vs per-flow phase
+//   hpnsim_fuzz --runs 60 --jobsmix            # + cluster-scheduler phase
 //
 // Scenario i draws from seed `master ^ golden*(i+1)`, so results are a
 // function of (--seed, --runs) alone. Runs execute on an exec::RunnerPool
@@ -15,14 +15,19 @@
 // the driver greedily shrinks each scenario and writes a `.scenario` repro
 // file that replays with --replay.
 //
+// Parsing is strict: an unknown flag, a missing value, or a count or seed
+// with junk or trailing characters prints usage and exits 2.
+//
 // --replay exits 0 when the repro still reproduces a violation and 1 when
 // it runs clean (a stale repro must fail loudly, not silently pass);
 // --expect-clean flips that for corpus entries whose bug has been fixed.
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,7 +45,6 @@ struct Args {
   std::string csv;
   std::string replay;
   std::string topology;  ///< Force every scenario onto one topology kind.
-  int shards = 0;        ///< >= 2 arms the PDES differential phase.
   bool aggregate = false;  ///< Arms the aggregated-vs-per-flow session phase.
   bool jobsmix = false;  ///< Guarantee a job mix: every scenario runs the
                          ///< cluster-scheduler phase.
@@ -50,7 +54,7 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc && a.ok; ++i) {
     const std::string flag = argv[i];
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -60,12 +64,30 @@ Args parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Whole-token decimal: "1x", "abc" and "" are usage errors, not a
+    // silent 0, and "-1" is one too, not a wrapped-around seed.
+    const auto number = [&](std::uint64_t max) -> std::uint64_t {
+      const char* text = value();
+      if (!a.ok) return 0;
+      char* end = nullptr;
+      errno = 0;
+      const std::uint64_t v = std::strtoull(text, &end, 10);
+      if (end == text || *end != '\0' || text[0] == '-' || errno == ERANGE ||
+          v > max) {
+        std::cerr << flag << " wants a number, got '" << text << "'\n";
+        a.ok = false;
+        return 0;
+      }
+      return v;
+    };
+    constexpr auto kIntMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
     if (flag == "--runs") {
-      a.runs = std::atoi(value());
+      a.runs = static_cast<int>(number(kIntMax));
     } else if (flag == "--jobs") {
-      a.jobs = std::atoi(value());
+      a.jobs = static_cast<int>(number(kIntMax));
     } else if (flag == "--seed") {
-      a.seed = std::strtoull(value(), nullptr, 10);
+      a.seed = number(std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--out") {
       a.out = value();
     } else if (flag == "--csv") {
@@ -74,8 +96,6 @@ Args parse_args(int argc, char** argv) {
       a.replay = value();
     } else if (flag == "--topology") {
       a.topology = value();
-    } else if (flag == "--shards") {
-      a.shards = std::atoi(value());
     } else if (flag == "--aggregate") {
       a.aggregate = true;
     } else if (flag == "--jobsmix") {
@@ -83,14 +103,19 @@ Args parse_args(int argc, char** argv) {
     } else if (flag == "--expect-clean") {
       a.expect_clean = true;
     } else {
-      std::cerr << "unknown flag " << flag << "\n"
-                << "usage: hpnsim_fuzz [--runs N] [--jobs N] [--seed S] "
-                   "[--topology KIND] [--shards N] [--aggregate] [--jobsmix] "
-                   "[--out DIR] [--csv FILE] [--replay FILE [--expect-clean]]\n";
+      std::cerr << "unknown flag " << flag << "\n";
       a.ok = false;
     }
   }
-  if (a.runs < 1 || a.jobs < 1 || a.shards < 0 || a.shards == 1) a.ok = false;
+  if (a.ok && (a.runs < 1 || a.jobs < 1)) {
+    std::cerr << "--runs and --jobs must be >= 1\n";
+    a.ok = false;
+  }
+  if (!a.ok) {
+    std::cerr << "usage: hpnsim_fuzz [--runs N] [--jobs N] [--seed S] "
+                 "[--topology KIND] [--aggregate] [--jobsmix] "
+                 "[--out DIR] [--csv FILE] [--replay FILE [--expect-clean]]\n";
+  }
   return a;
 }
 
@@ -123,7 +148,6 @@ int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
   if (!args.ok) return 2;
   hpn::fuzz::RunOptions run;
-  run.shards = args.shards;
   run.aggregate = args.aggregate;
   if (!args.replay.empty()) return replay_file(args.replay, args.expect_clean, run);
 
