@@ -146,7 +146,7 @@ std::string fmt(double v, int digits = 1) { return hpn::metrics::Table::num(v, d
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
   bench::banner(
       "Architecture zoo — every fabric strategy on one workload + fault drill",
       "HPN's dual-ToR dual-plane design holds throughput through an access-link "

@@ -37,7 +37,7 @@ cluster::ClusterConfig config_for(const Case& c, bool smoke, int faults) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
 
   bench::banner("multi-tenant cluster — placement policy head-to-head",
                 "1K-GPU segments keep most jobs single-segment (§3/Fig 6); "

@@ -19,29 +19,37 @@ namespace hpn::bench {
 
 inline constexpr const char* kResultsDir = "results";
 
-/// Common harness flags, parsed from main()'s argv:
+/// Which optional harness flags a bench honours. A bench opts in only to
+/// the flags it acts on; any other is a usage error (exit 2), never silently
+/// ignored.
+struct Accepts {
+  bool csv = true;     ///< --csv: off for benches that write several tables.
+  bool jobs = false;   ///< --jobs: the bench runs its cases through sweep().
+  bool trace = false;  ///< --trace: the bench calls export_trace().
+  /// Bench-specific value flags (e.g. microperf_solver's `--flows`); their
+  /// values come back via Args::extra_value().
+  std::initializer_list<const char*> value_flags = {};
+};
+
+/// Harness flags, parsed from main()'s argv:
 ///   --smoke          tiny-scale run for the ctest smoke suite (CI bit-rot
 ///                    detection, not paper numbers)
-///   --trace <path>   export the simulation trace (.json => Chrome format)
+///   --csv <path>     write the result CSV to an explicit file instead of
+///                    the default results/<bench-name>.csv
 ///   --jobs N         run independent sweep cases on N workers (default 1;
 ///                    table rows and CSVs are identical at any job count)
-///   --csv <path>     write the result CSV to an explicit file instead of
-///                    the default results/<bench-name>.csv (benches that
-///                    write several tables parse with parse_multi_table(),
-///                    which rejects it)
+///   --trace <path>   export the simulation trace (.json => Chrome format)
 ///
-/// Parsing is strict: an unknown flag, a positional argument, a missing
-/// value, or a non-numeric count prints a usage line to stderr and exits 2
-/// instead of being silently ignored (a typo'd `--smok` used to run the
-/// full-scale bench in CI). Bench-specific value flags (e.g. microperf's
-/// `--flows`) register through `extra_value_flags`; their values come back
-/// via extra_value().
+/// Parsing is strict: an unknown flag, a flag the bench does not accept, a
+/// positional argument, a missing value, or a non-numeric count prints a
+/// usage line to stderr and exits 2 instead of being silently ignored (a
+/// typo'd `--smok` used to run the full-scale bench in CI).
 struct Args {
   bool smoke = false;
   std::string trace_path;
   std::string csv_path;
   int jobs = 1;
-  std::vector<std::pair<std::string, std::string>> extra;  ///< registered flags
+  std::vector<std::pair<std::string, std::string>> extra;  ///< Accepts::value_flags
 
   [[nodiscard]] const std::string* extra_value(std::string_view flag) const {
     for (const auto& [f, v] : extra) {
@@ -50,11 +58,8 @@ struct Args {
     return nullptr;
   }
 
-  static Args parse(int argc, char** argv,
-                    std::initializer_list<const char*> extra_value_flags = {}) {
-    const auto fail = [&](const std::string& why) {
-      usage_error(argc, argv, extra_value_flags, why);
-    };
+  static Args parse(int argc, char** argv, const Accepts& accepts = {}) {
+    const auto fail = [&](const std::string& why) { usage_error(argc, argv, accepts, why); };
     const auto need_value = [&](int& i, const char* flag) -> const char* {
       if (i + 1 >= argc) fail(std::string{"missing value for "} + flag);
       return argv[++i];
@@ -67,20 +72,26 @@ struct Args {
       }
       return static_cast<int>(v);
     };
+    const auto refuse = [&](const char* flag, const char* why) {
+      fail(std::string{flag} + " is not accepted: " + why);
+    };
     Args a;
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--smoke") == 0) {
         a.smoke = true;
-      } else if (std::strcmp(argv[i], "--trace") == 0) {
-        a.trace_path = need_value(i, "--trace");
       } else if (std::strcmp(argv[i], "--csv") == 0) {
+        if (!accepts.csv) refuse("--csv", "this bench writes several tables, not one file");
         a.csv_path = need_value(i, "--csv");
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
+        if (!accepts.jobs) refuse("--jobs", "this bench has no independent cases to spread");
         a.jobs = parse_int("--jobs", need_value(i, "--jobs"));
         if (a.jobs < 1) fail("--jobs must be >= 1");
+      } else if (std::strcmp(argv[i], "--trace") == 0) {
+        if (!accepts.trace) refuse("--trace", "this bench exports no trace");
+        a.trace_path = need_value(i, "--trace");
       } else {
         bool matched = false;
-        for (const char* f : extra_value_flags) {
+        for (const char* f : accepts.value_flags) {
           if (std::strcmp(argv[i], f) == 0) {
             a.extra.emplace_back(f, need_value(i, f));
             matched = true;
@@ -97,26 +108,15 @@ struct Args {
     return a;
   }
 
-  /// parse() for benches that write several tables: --csv names one file,
-  /// so it is a usage error (exit 2) rather than silently ignored.
-  static Args parse_multi_table(int argc, char** argv,
-                                std::initializer_list<const char*> extra_value_flags = {}) {
-    Args a = parse(argc, argv, extra_value_flags);
-    if (!a.csv_path.empty()) {
-      usage_error(argc, argv, extra_value_flags,
-                  "--csv names one file but this bench writes several tables");
-    }
-    return a;
-  }
-
  private:
-  [[noreturn]] static void usage_error(int argc, char** argv,
-                                       std::initializer_list<const char*> extra_value_flags,
+  [[noreturn]] static void usage_error(int argc, char** argv, const Accepts& accepts,
                                        const std::string& why) {
     std::cerr << "error: " << why << "\n"
-              << "usage: " << (argc > 0 ? argv[0] : "bench")
-              << " [--smoke] [--trace <path>] [--csv <path>] [--jobs N]";
-    for (const char* f : extra_value_flags) std::cerr << " [" << f << " <value>]";
+              << "usage: " << (argc > 0 ? argv[0] : "bench") << " [--smoke]";
+    if (accepts.csv) std::cerr << " [--csv <path>]";
+    if (accepts.jobs) std::cerr << " [--jobs N]";
+    if (accepts.trace) std::cerr << " [--trace <path>]";
+    for (const char* f : accepts.value_flags) std::cerr << " [" << f << " <value>]";
     std::cerr << "\n";
     std::exit(2);
   }
@@ -161,14 +161,14 @@ inline void emit(const metrics::Table& table, const std::string& csv_name,
   }
 }
 
-/// Export the tracer to `args.trace_path` if set (after the run finished).
-inline void export_trace(const metrics::Tracer& tracer, const Args& args) {
-  if (args.trace_path.empty()) return;
-  if (tracer.save(args.trace_path)) {
-    std::cout << "[trace] " << args.trace_path << " (" << tracer.size() << " events, "
+/// Export the tracer to `path` (--trace) if set, after the run finished.
+inline void export_trace(const metrics::Tracer& tracer, const std::string& path) {
+  if (path.empty()) return;
+  if (tracer.save(path)) {
+    std::cout << "[trace] " << path << " (" << tracer.size() << " events, "
               << tracer.dropped() << " dropped)\n";
   } else {
-    std::cout << "[trace] failed to write " << args.trace_path << "\n";
+    std::cout << "[trace] failed to write " << path << "\n";
   }
 }
 

@@ -82,7 +82,7 @@ struct Phase {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
   bench::banner("hpnsim serve: cold vs warm vs cached query latency",
                 "capacity-planning queries re-use the base scenario's solver "
                 "state instead of re-simulating from scratch");

@@ -11,9 +11,7 @@ int main(int argc, char** argv) {
                 "periodic bursts that instantly fill the 400Gbps NIC, lasting seconds "
                 "to tens of seconds, simultaneously on all 8 NICs");
 
-  workload::NicBurstConfig cfg;
-  const auto traces =
-      workload::generate_nic_bursts(cfg, Duration::seconds(120.0), /*seed=*/7);
+  const auto traces = workload::generate_nic_bursts(Duration::seconds(120.0), /*seed=*/7);
 
   metrics::Table t{"per-NIC egress (Gbps), 5s samples over 120s"};
   std::vector<std::string> cols{"t_s"};

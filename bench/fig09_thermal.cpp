@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  bench::Args::parse_multi_table(argc, argv);
+  bench::Args::parse(argc, argv, {.csv = false});
   bench::banner("Figure 9 — 51.2T chip power and cooling efficiency",
                 "51.2T draws +45% over 25.6T at unchanged Tjmax=105C; heat pipe and "
                 "original VC trip over-temperature at full load; optimized VC (+15% "

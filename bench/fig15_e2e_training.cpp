@@ -143,7 +143,7 @@ Result run(bool hpn, const bench::Args& args) {
       res.agg_queue_mb = std::max(res.agg_queue_mb, q.points().back().value / 1e6);
     }
   }
-  if (hpn && !args.trace_path.empty()) bench::export_trace(fluid_sim.tracer(), args);
+  if (hpn) bench::export_trace(fluid_sim.tracer(), args.trace_path);
   return res;
 }
 
@@ -151,7 +151,7 @@ Result run(bool hpn, const bench::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true, .trace = true});
   bench::banner("Figure 15 — production training on 2304 GPUs (288 hosts)",
                 "HPN +14.9% samples/s over DCN+ (19 segments -> 3 segments); cross-"
                 "segment traffic -37%; Agg queues deflate from multi-MB to near-zero");

@@ -134,7 +134,7 @@ PolicyResult hpn_disjoint(const Scenario& sc) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
   bench::banner("§6.1/§11 — load-balancing policy comparison",
                 "per-flow ECMP collides on elephants; flowlet/per-packet balance "
                 "better but reorder (unusable for hardware RDMA); HPN's engineered "

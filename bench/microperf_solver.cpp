@@ -1,9 +1,9 @@
 // Solver performance harness, two sections:
 //
-//   1. Paper-Pod incremental re-solve (full mode only): cold water-filling
-//      (seed reference vs the dense/heap engine) and incremental re-solve
-//      after a single access link flip, over >= 100K structural flows on the
-//      15,360-GPU topology.
+//   1. Paper-Pod incremental re-solve (full mode only): the seed reference's
+//      cold water-filling, the dense/heap engine's first resolve, and its
+//      incremental re-solve after a single access link flip, over >= 100K
+//      structural flows on the 15,360-GPU topology.
 //
 //   2. Million-flow hot path — flow-count scaling on a fig15-class ring
 //      collective (stride-1 rings per (segment, rail), ~16 same-(path, cap)
@@ -223,15 +223,6 @@ int run_pod_section() {
     ref_solve_ms = std::min(ref_solve_ms, ms_since(t0));
   }
 
-  flowsim::MaxMinSolver dense{c.topo};
-  double dense_ms = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 5; ++i) {
-    auto copy = traffic.flows;
-    const auto t0 = Clock::now();
-    dense.solve(copy);
-    dense_ms = std::min(dense_ms, ms_since(t0));
-  }
-
   // Incremental engine: build once, then flip single access cables.
   topo::Topology& topo = const_cast<topo::Cluster&>(c).topo;
   flowsim::IncrementalMaxMin inc{topo};
@@ -256,7 +247,6 @@ int run_pod_section() {
                metrics::Table::num(ref_solve_ms / ms, 1)});
   };
   row("reference_cold_solve", n, ref_solve_ms);
-  row("dense_cold_solve", n, dense_ms);
   row("incremental_first_resolve", n, inc_cold_ms);
   row("incremental_rail_access_flip", rail.affected, rail.best_ms);
   row("incremental_plane_access_flip", plane.affected, plane.best_ms);
@@ -466,7 +456,8 @@ int run_scaling_section(bool smoke, std::size_t max_flows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hpn::bench::Args args = hpn::bench::Args::parse_multi_table(argc, argv, {"--flows"});
+  const hpn::bench::Args args =
+      hpn::bench::Args::parse(argc, argv, {.csv = false, .value_flags = {"--flows"}});
   std::size_t max_flows = std::numeric_limits<std::size_t>::max();
   if (const std::string* flows = args.extra_value("--flows")) {
     max_flows = static_cast<std::size_t>(std::strtoull(flows->c_str(), nullptr, 10));

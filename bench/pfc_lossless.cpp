@@ -97,7 +97,7 @@ double run_hol_victim(bool congested) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  bench::Args::parse_multi_table(argc, argv);
+  bench::Args::parse(argc, argv, {.csv = false});
   bench::banner("Packet-level substrate — lossless RoCE incast & HoL blocking",
                 "PFC keeps incasts lossless (drops collapse FCT recovery in lossy "
                 "mode); but PFC pauses bill innocent flows sharing the paused port — "

@@ -54,7 +54,7 @@ LocalityResult replay(int hosts_per_segment, int segments, int num_jobs) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
   bench::banner("§3 / Fig 6 — job locality from segment size",
                 "HPN's 1K-GPU segments keep 96.3% of production jobs inside a single "
                 "segment (one switch hop); DCN+'s 128-GPU segments cannot");

@@ -77,7 +77,7 @@ LatencyReport run(bool training, bool checkpoint_storm, bool smoke) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
   bench::banner("§8 — inference on the frontend under mixed deployment",
                 "physically decoupled frontend: backend training cannot perturb "
                 "serving latency; only frontend-sharing storage traffic can");

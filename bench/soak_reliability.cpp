@@ -81,7 +81,7 @@ SoakResult soak(bool dual_tor, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  const bench::Args args = bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv, {.jobs = true});
   bench::banner("Reliability soak — one year of Fig 5 failure rates vs a 2304-GPU job",
                 "single-attached access: 1-2 crashes/month, ~$30K each; dual-ToR: "
                 "failures become transient degradations (zero single-point crashes "

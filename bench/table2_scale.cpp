@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpn;
-  bench::Args::parse_multi_table(argc, argv);
+  bench::Args::parse(argc, argv, {.csv = false});
   bench::banner("Table 2 — key mechanisms affecting maximal scale",
                 "51.2T Clos 64/2K; dual-ToR x2; rail-optimized x8 (tier1 1K); "
                 "dual-plane x2; 15:1 oversubscription x1.875 (tier2 15K)");

@@ -8,6 +8,21 @@
 
 namespace hpn::ccl {
 
+namespace {
+
+/// NVLS in-switch reduction speeds intra-host AllReduce phases (§9.2).
+constexpr double kNvlsGain = 1.5;
+/// Pipelining never splits a payload below this chunk size.
+constexpr DataSize kMinChunk = DataSize::megabytes(1);
+/// NCCL channels per ring edge (bulk mode): each edge splits into this many
+/// concurrent messages, which the connection picker spreads over the NIC's
+/// two ports/planes — engaging the full 2x200G of the rail.
+constexpr int kChannelsPerEdge = 2;
+/// RingAlgorithm::kAuto picks the tree below this per-GPU payload.
+constexpr DataSize kTreeThreshold = DataSize::megabytes(8);
+
+}  // namespace
+
 Communicator::Communicator(const topo::Cluster& cluster, sim::Simulator& simulator,
                            flowsim::FlowSession& session, ConnectionManager& connections,
                            std::vector<int> ranks, CclConfig config)
@@ -40,7 +55,7 @@ int Communicator::global_rank(int host_pos, int rail) const {
 }
 
 int Communicator::chunks_for(DataSize total) const {
-  const auto by_min = static_cast<int>(total.as_bits() / config_.min_chunk.as_bits());
+  const auto by_min = static_cast<int>(total.as_bits() / kMinChunk.as_bits());
   return std::clamp(by_min, 1, config_.pipeline_chunks);
 }
 
@@ -146,7 +161,7 @@ void Communicator::rail_rings(int steps, DataSize step_bytes, DoneFn done) {
     // overhead the barriers would have cost.
     const DataSize edge_bytes = step_bytes * static_cast<double>(steps);
     const Duration sync_cost = config_.step_overhead * static_cast<double>(steps);
-    const int channels = std::max(1, config_.channels_per_edge);
+    const int channels = kChannelsPerEdge;
     const DataSize channel_bytes = edge_bytes / static_cast<double>(channels);
     for (int rail = 0; rail < rails_; ++rail) {
       auto flows_left = std::make_shared<int>(hosts * channels);
@@ -213,7 +228,7 @@ bool Communicator::use_tree(DataSize per_gpu) const {
   switch (config_.algorithm) {
     case RingAlgorithm::kRing: return false;
     case RingAlgorithm::kTree: return true;
-    case RingAlgorithm::kAuto: return per_gpu < config_.tree_threshold;
+    case RingAlgorithm::kAuto: return per_gpu < kTreeThreshold;
   }
   return false;
 }
@@ -255,9 +270,8 @@ void Communicator::all_reduce_tree(DataSize per_gpu, DoneFn done) {
   // switching algorithms by size.
   const int chunks = chunks_for(per_gpu);
   const DataSize chunk = per_gpu / static_cast<double>(chunks);
-  const double gain = config_.nvls ? config_.nvls_gain : 1.0;
   const DataSize intra_bytes =
-      chunk * (static_cast<double>(rails_ - 1) / rails_ / gain);
+      chunk * (static_cast<double>(rails_ - 1) / rails_ / kNvlsGain);
   const DataSize edge_bytes = chunk / static_cast<double>(rails_);
   const int depth = tree_depth();
 
@@ -312,9 +326,8 @@ void Communicator::reduce(DataSize payload, DoneFn done) {
   done = traced("reduce", payload, std::move(done));
   const int chunks = chunks_for(payload);
   const DataSize chunk = payload / static_cast<double>(chunks);
-  const double gain = config_.nvls ? config_.nvls_gain : 1.0;
   const DataSize intra_bytes =
-      chunk * (static_cast<double>(rails_ - 1) / rails_ / gain);
+      chunk * (static_cast<double>(rails_ - 1) / rails_ / kNvlsGain);
   const DataSize edge_bytes = chunk / static_cast<double>(rails_);
   const int depth = tree_depth();
 
@@ -351,8 +364,7 @@ void Communicator::all_reduce(DataSize per_gpu, DoneFn done) {
   const DataSize chunk = per_gpu / static_cast<double>(chunks);
   const int hosts = static_cast<int>(hosts_.size());
   const double intra_fraction = static_cast<double>(rails_ - 1) / rails_;
-  const double gain = config_.nvls ? config_.nvls_gain : 1.0;
-  const DataSize intra_bytes = chunk * (intra_fraction / gain);
+  const DataSize intra_bytes = chunk * (intra_fraction / kNvlsGain);
   const DataSize step_bytes = chunk / static_cast<double>(rails_ * hosts);
 
   auto pipeline = StagePipeline::create(
@@ -380,8 +392,7 @@ void Communicator::reduce_scatter(DataSize per_gpu, DoneFn done) {
   const DataSize chunk = per_gpu / static_cast<double>(chunks);
   const int hosts = static_cast<int>(hosts_.size());
   const double intra_fraction = static_cast<double>(rails_ - 1) / rails_;
-  const double gain = config_.nvls ? config_.nvls_gain : 1.0;
-  const DataSize intra_bytes = chunk * (intra_fraction / gain);
+  const DataSize intra_bytes = chunk * (intra_fraction / kNvlsGain);
   const DataSize step_bytes = chunk / static_cast<double>(rails_ * hosts);
 
   auto pipeline = StagePipeline::create(

@@ -31,16 +31,12 @@ namespace hpn::ccl {
 enum class RingAlgorithm : std::uint8_t {
   kRing,  ///< Bandwidth-optimal: 2(H-1)/H x payload per edge.
   kTree,  ///< Latency-optimal: log2(H) rounds, 2x payload per edge.
-  kAuto,  ///< Tree below tree_threshold, ring above.
+  kAuto,  ///< Tree below 8 MB per GPU, ring above.
 };
 
 struct CclConfig {
-  /// NVLS in-switch reduction speeds intra-host AllReduce phases (§9.2).
-  bool nvls = true;
-  double nvls_gain = 1.5;
   /// Chunked pipelining across phases.
   int pipeline_chunks = 8;
-  DataSize min_chunk = DataSize::megabytes(1);
   /// Fixed per-ring-step overhead (propagation + kernel launch + QP doorbell).
   Duration step_overhead = Duration::micros(20);
   /// Bulk rings: collapse a ring's steps into one steady-state flow per
@@ -49,15 +45,10 @@ struct CclConfig {
   /// steady state anyway) and orders of magnitude fewer simulator events;
   /// turn off to simulate every step barrier explicitly.
   bool bulk_rings = true;
-  /// NCCL channels per ring edge (bulk mode): each edge splits into this
-  /// many concurrent messages, which the connection picker spreads over the
-  /// NIC's two ports/planes — engaging the full 2x200G of the rail.
-  int channels_per_edge = 2;
   /// Retry interval when a message's destination is currently unreachable.
   Duration unreachable_retry = Duration::millis(10);
   /// Inter-host AllReduce algorithm; NCCL switches ring->tree by size.
   RingAlgorithm algorithm = RingAlgorithm::kRing;
-  DataSize tree_threshold = DataSize::megabytes(8);
 };
 
 class Communicator {

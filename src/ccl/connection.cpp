@@ -8,6 +8,11 @@
 namespace hpn::ccl {
 namespace {
 
+/// First RoCE source port tried for a pair (the IANA ephemeral range).
+constexpr std::uint16_t kSportBase = 49152;
+/// Source ports tried per pair, split evenly across its connections.
+constexpr int kSportSearchBudget = 256;
+
 std::uint64_t pair_key(int src, int dst) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
          static_cast<std::uint32_t>(dst);
@@ -46,7 +51,7 @@ routing::Path ConnectionManager::trace_conn(const Connection& conn) const {
 bool ConnectionManager::routable(int src_rank, int dst_rank) const {
   const auto& att = cluster_->nic_of(src_rank);
   const NodeId dst_nic = cluster_->nic_of(dst_rank).nic;
-  const routing::FiveTuple probe = tuple_for(src_rank, dst_rank, config_.sport_base);
+  const routing::FiveTuple probe = tuple_for(src_rank, dst_rank, kSportBase);
   for (int p = 0; p < att.ports; ++p) {
     if (router_->trace_via(att.access.at(static_cast<std::size_t>(p)), dst_nic, probe)
             .valid()) {
@@ -73,8 +78,8 @@ const std::vector<ConnId>& ConnectionManager::establish(int src_rank, int dst_ra
   // cluster-wide usage counters (the host-switch collaborating system of
   // §6.1 keeps all hosts' planners coordinated) — and takes the emptiest.
   const int per_slot_budget =
-      std::max(1, config_.sport_search_budget / std::max(1, config_.conns_per_pair));
-  std::uint16_t sport = config_.sport_base;
+      std::max(1, kSportSearchBudget / std::max(1, config_.conns_per_pair));
+  std::uint16_t sport = kSportBase;
   for (int slot = 0; slot < config_.conns_per_pair; ++slot) {
     const int port = slot % att.ports;
 
@@ -125,7 +130,7 @@ const std::vector<ConnId>& ConnectionManager::establish(int src_rank, int dst_ra
     Connection dark;
     dark.src_rank = src_rank;
     dark.dst_rank = dst_rank;
-    dark.tuple = tuple_for(src_rank, dst_rank, config_.sport_base);
+    dark.tuple = tuple_for(src_rank, dst_rank, kSportBase);
     dark.path_epoch = router_->epoch();
     dark.id = ConnId{static_cast<ConnId::underlying>(conns_.size())};
     ids.push_back(dark.id);

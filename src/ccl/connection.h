@@ -43,9 +43,6 @@ struct ConnectionConfig {
   /// Pick the least-loaded connection per message (Algorithm 2). When off,
   /// messages hash round-robin-blind onto connections.
   bool wqe_load_balance = true;
-  /// Source-port search budget per pair.
-  int sport_search_budget = 256;
-  std::uint16_t sport_base = 49152;
   /// Tolerate establish() while the destination is fully isolated (every
   /// source port dark, e.g. both ports of a rail NIC failed): instead of
   /// failing loudly, park one invalid-path connection that path_of()'s

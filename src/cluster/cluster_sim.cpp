@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "ctrl/fabric_controller.h"
+#include "fault/checkpoint.h"
 #include "metrics/stats.h"
 #include "routing/router.h"
 #include "topo/frontend.h"
@@ -37,6 +38,16 @@ workload::ModelPreset tenant_tiny_model() {
 }
 
 namespace {
+
+/// Checkpoint/restore economics, scaled to simulation-sized iterations.
+constexpr fault::CheckpointPolicy kCheckpoint{/*interval=*/Duration::seconds(30),
+                                              /*write_time=*/Duration::millis(50),
+                                              /*per_gpu=*/DataSize::gigabytes(30),
+                                              /*restart_time=*/Duration::millis(500)};
+/// A checkpoint is taken every this many completed iterations.
+constexpr int kCheckpointEveryIters = 2;
+/// Crash-restart attempts before a job is aborted for good.
+constexpr int kMaxRestarts = 2;
 
 /// Fixed-precision float formatting — the byte-stability contract of every
 /// cluster CSV.
@@ -207,12 +218,12 @@ class ClusterSim {
     run_chunk(id);
   }
 
-  /// Runs up to checkpoint_every_iters iterations, then pays the checkpoint
+  /// Runs up to kCheckpointEveryIters iterations, then pays the checkpoint
   /// write and continues — so a crash always rolls back to a chunk start.
   void run_chunk(int id) {
     RunningTraining& rt = running_training_.at(id);
     const int remaining = rt.meta.spec.iterations - rt.meta.checkpointed;
-    const int chunk = std::min(remaining, config_.checkpoint_every_iters);
+    const int chunk = std::min(remaining, kCheckpointEveryIters);
     rt.chunk_start = sim_.now();
     rt.job->run(chunk, [this, id](bool crashed) { on_chunk_done(id, crashed); });
   }
@@ -224,13 +235,13 @@ class ClusterSim {
       return;
     }
     rt.meta.checkpointed += std::min(
-        rt.meta.spec.iterations - rt.meta.checkpointed, config_.checkpoint_every_iters);
+        rt.meta.spec.iterations - rt.meta.checkpointed, kCheckpointEveryIters);
     stats_[id].iterations = rt.meta.checkpointed;
     if (rt.meta.checkpointed >= rt.meta.spec.iterations) {
       finish_training(id, /*aborted=*/false);
       return;
     }
-    sim_.schedule_after(config_.checkpoint.write_time, [this, id] {
+    sim_.schedule_after(kCheckpoint.write_time, [this, id] {
       if (running_training_.count(id) != 0) run_chunk(id);
     });
   }
@@ -240,13 +251,13 @@ class ClusterSim {
     ++crashes_;
     JobStats& js = stats_[id];
     ++js.restarts;
-    const fault::CheckpointModel model{config_.checkpoint};
+    const fault::CheckpointModel model{kCheckpoint};
     crash_cost_dollars_ +=
         model
             .crash_cost(sim_.now() - rt.chunk_start,
                         static_cast<int>(rt.alloc.hosts.size()) * cluster_.gpus_per_host)
             .dollars;
-    if (rt.meta.restarts >= config_.max_restarts) {
+    if (rt.meta.restarts >= kMaxRestarts) {
       finish_training(id, /*aborted=*/true);
       return;
     }
@@ -256,7 +267,7 @@ class ClusterSim {
     PendingJob meta = std::move(rt.meta);
     ++meta.restarts;
     release_and_destroy_training(id);
-    sim_.schedule_after(config_.checkpoint.restart_time, [this, meta = std::move(meta)] {
+    sim_.schedule_after(kCheckpoint.restart_time, [this, meta = std::move(meta)] {
       queue_.push_front(meta);
       try_dispatch();
     });

@@ -25,7 +25,6 @@
 #include "cluster/placement.h"
 #include "cluster/trace.h"
 #include "fabric/fabric.h"
-#include "fault/checkpoint.h"
 #include "workload/parallelism.h"
 
 namespace hpn::cluster {
@@ -55,16 +54,6 @@ struct ClusterConfig {
   double dp_overlap = 0.5;
   Duration comm_timeout = Duration::seconds(1.5);
 
-  /// Checkpoint/restore economics, scaled to simulation-sized iterations.
-  fault::CheckpointPolicy checkpoint{/*interval=*/Duration::seconds(30),
-                                     /*write_time=*/Duration::millis(50),
-                                     /*per_gpu=*/DataSize::gigabytes(30),
-                                     /*restart_time=*/Duration::millis(500)};
-  /// A checkpoint is taken every this many completed iterations.
-  int checkpoint_every_iters = 2;
-  /// Crash-restart attempts before a job is aborted for good.
-  int max_restarts = 2;
-
   /// Access-link flaps injected during the run (0 = fault-free). Each flap
   /// takes down both ports of one rail of a random host — isolating it —
   /// for `fault_down_for`, then auto-repairs.
@@ -92,7 +81,7 @@ struct JobStats {
   int segments = 0;       ///< Spanned by the last placement.
   int iterations = 0;     ///< Completed (training).
   int restarts = 0;
-  bool aborted = false;   ///< Gave up after max_restarts crashes.
+  bool aborted = false;   ///< Gave up after its last allowed restart.
 
   [[nodiscard]] Duration jct() const { return finish - arrival; }
   [[nodiscard]] Duration queue_wait() const { return start - arrival; }

@@ -21,7 +21,6 @@ std::vector<JobSpec> generate_trace(const TraceConfig& config, int max_hosts,
   HPN_CHECK(config.jobs > 0);
   HPN_CHECK(max_hosts > 0);
   HPN_CHECK(gpus_per_host > 0);
-  HPN_CHECK(config.inference_fraction >= 0.0 && config.inference_fraction <= 1.0);
 
   // Independent streams: adding a knob to one draw (e.g. longer traces)
   // must not perturb the others for the same seed.
@@ -39,8 +38,8 @@ std::vector<JobSpec> generate_trace(const TraceConfig& config, int max_hosts,
     JobSpec job;
     job.id = i + 1;
     job.arrival = at;
-    job.kind = kinds.bernoulli(config.inference_fraction) ? JobKind::kInference
-                                                          : JobKind::kTraining;
+    job.kind = kinds.bernoulli(kInferenceFraction) ? JobKind::kInference
+                                                   : JobKind::kTraining;
     if (job.kind == JobKind::kTraining) {
       const int gpus = sizes.sample_gpus();
       const int cap = config.max_job_hosts > 0 ? std::min(config.max_job_hosts, max_hosts)
@@ -50,9 +49,9 @@ std::vector<JobSpec> generate_trace(const TraceConfig& config, int max_hosts,
           lengths.uniform_int(config.min_iterations, config.max_iterations));
     } else {
       job.hosts = static_cast<int>(
-          lengths.uniform_int(1, std::min(config.max_inference_hosts, max_hosts)));
+          lengths.uniform_int(1, std::min(kMaxInferenceHosts, max_hosts)));
       job.service_time = Duration::seconds(lengths.uniform_real(
-          config.min_service.as_seconds(), config.max_service.as_seconds()));
+          kMinService.as_seconds(), kMaxService.as_seconds()));
     }
     trace.push_back(job);
   }

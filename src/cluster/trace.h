@@ -38,20 +38,22 @@ struct TraceConfig {
   int jobs = 16;
   /// Mean Poisson interarrival gap.
   Duration mean_interarrival = Duration::seconds(2.0);
-  /// Fraction of arrivals that are inference services (§8 mixed fleet).
-  double inference_fraction = 0.25;
   int min_iterations = 2;
   int max_iterations = 5;
-  Duration min_service = Duration::seconds(2.0);
-  Duration max_service = Duration::seconds(6.0);
-  /// Inference services occupy a few hosts, not a Fig-6 draw.
-  int max_inference_hosts = 2;
   /// Extra cap on training-job hosts (0 = cluster size only). Production
   /// jobs are small relative to the cluster (96.3% under 1K GPUs, Fig 6);
   /// capping keeps several tenants co-resident instead of one giant job
   /// serializing the queue.
   int max_job_hosts = 0;
 };
+
+/// Fraction of arrivals that are inference services (§8 mixed fleet).
+inline constexpr double kInferenceFraction = 0.25;
+/// Inference service time, uniform in [kMinService, kMaxService].
+inline constexpr Duration kMinService = Duration::seconds(2.0);
+inline constexpr Duration kMaxService = Duration::seconds(6.0);
+/// Inference services occupy a few hosts, not a Fig-6 draw.
+inline constexpr int kMaxInferenceHosts = 2;
 
 /// Sample `config.jobs` jobs. Training sizes come from the Fig-6 CDF,
 /// clamped to `max_hosts` (the schedulable host count) so every job can

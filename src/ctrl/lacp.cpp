@@ -4,6 +4,13 @@
 
 namespace hpn::ctrl {
 
+namespace {
+
+/// Physical ports per chip — the bound that makes the offset scheme safe.
+constexpr std::uint16_t kMaxPhysicalPorts = 256;
+
+}  // namespace
+
 MacAddress MacAddress::chassis(std::uint32_t serial) {
   // Locally-administered unicast OUI, serialized per switch.
   return MacAddress{{0x02, 0x1A, 0x2B, static_cast<std::uint8_t>(serial >> 16),
@@ -19,14 +26,14 @@ std::string MacAddress::to_string() const {
 }
 
 TorLacpAgent::TorLacpAgent(TorLacpConfig config) : config_{config} {
-  HPN_CHECK_MSG(config_.port_id_offset >= config_.max_physical_ports,
+  HPN_CHECK_MSG(config_.port_id_offset >= kMaxPhysicalPorts,
                 "portID offset must exceed the physical port count ("
-                    << config_.max_physical_ports << ") to avoid collisions");
+                    << kMaxPhysicalPorts << ") to avoid collisions");
 }
 
 Lacpdu TorLacpAgent::respond(const Lacpdu& from_host, std::uint16_t physical_port) const {
   (void)from_host;  // stock LACP would negotiate over the stack link here
-  HPN_CHECK_MSG(physical_port < config_.max_physical_ports,
+  HPN_CHECK_MSG(physical_port < kMaxPhysicalPorts,
                 "physical port " << physical_port << " out of range");
   Lacpdu out;
   out.actor_system = config_.system_mac;

@@ -49,8 +49,6 @@ struct TorLacpConfig {
   /// and differ between the two ToRs of a set.
   std::uint16_t port_id_offset = 300;
   std::uint16_t aggregation_key = 1;
-  /// Physical ports per chip — the bound that makes the offset scheme safe.
-  std::uint16_t max_physical_ports = 256;
 };
 
 /// The customized LACP module running on one ToR.

@@ -228,17 +228,6 @@ void WaterFiller::run(const topo::Topology& topo) {
 
 }  // namespace detail
 
-void MaxMinSolver::solve(std::vector<FlowDemand>& flows) {
-  filler_.begin(flows.size());
-  for (const FlowDemand& f : flows) {
-    filler_.add_item(f.path.data(), f.path.size(), f.cap_bps, 1.0);
-  }
-  filler_.run(*topo_);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    flows[i].rate_bps = filler_.rate(static_cast<std::uint32_t>(i));
-  }
-}
-
 IncrementalMaxMin::Handle IncrementalMaxMin::add_flow(PathId path, double cap_bps) {
   Handle h;
   if (!free_handles_.empty()) {

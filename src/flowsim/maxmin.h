@@ -6,16 +6,15 @@
 // single-flow link. This is the steady-state model behind all throughput
 // benches (Figs 15-17, 19); queue *dynamics* live in fluid.h.
 //
-// Two engines share one water-filling core (detail::WaterFiller):
-//
-//  * MaxMinSolver — the stateless cold-solve API: rates for one flow set.
-//  * IncrementalMaxMin — keeps flow/link state alive across calls. Flow
-//    add/remove/reroute and link up/down flips mark links dirty; resolve()
-//    re-runs water-filling only over the connected component(s) of the
-//    flow-conflict graph (flows joined by shared links) that contain a
-//    dirty link. Untouched components provably keep their allocation, so a
-//    single access-link flip at Pod scale re-rates a handful of flows
-//    instead of re-solving 100K+ from zero.
+// One engine, IncrementalMaxMin, runs the water-filling core
+// (detail::WaterFiller) and keeps flow/link state alive across calls. Flow
+// add/remove/reroute and link up/down flips mark links dirty; resolve()
+// re-runs water-filling only over the connected component(s) of the
+// flow-conflict graph (flows joined by shared links) that contain a dirty
+// link. Untouched components provably keep their allocation, so a single
+// access-link flip at Pod scale re-rates a handful of flows instead of
+// re-solving 100K+ from zero. A cold solve is add_flow() for every flow,
+// then one resolve().
 //
 // The million-flow hot path stacks two structural wins on top of that:
 //
@@ -142,20 +141,6 @@ class WaterFiller {
 };
 
 }  // namespace detail
-
-/// Stateless cold solve: rates for one flow set, from scratch.
-class MaxMinSolver {
- public:
-  explicit MaxMinSolver(const topo::Topology& topology) : topo_{&topology} {}
-
-  /// Fills `rate_bps` for every flow. Flows with empty paths get cap_bps
-  /// (purely host-local transfers are only NIC/loopback-limited).
-  void solve(std::vector<FlowDemand>& flows);
-
- private:
-  const topo::Topology* topo_;
-  detail::WaterFiller filler_;
-};
 
 /// Persistent max-min state with component-scoped incremental re-solve and
 /// macro-flow aggregation.

@@ -6,24 +6,6 @@
 
 namespace hpn::routing {
 
-namespace {
-
-/// Only switches forward through-traffic; GPUs/NICs/NVSwitches/hosts can
-/// originate and terminate but never transit (host relay for rail-only
-/// designs is an *explicit* ccl-layer action, not a routing artifact).
-bool can_transit(topo::NodeKind kind) {
-  switch (kind) {
-    case topo::NodeKind::kTor:
-    case topo::NodeKind::kAgg:
-    case topo::NodeKind::kCore:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 Router::Router(const topo::Topology& topology, HashConfig hash_config)
     : topo_{&topology}, hasher_{hash_config} {}
 
@@ -63,8 +45,11 @@ std::vector<LinkId> Router::ecmp_links(NodeId node, NodeId dst) {
   if (here <= 0) return out;  // at destination or unreachable
   for (const LinkId lid : topo_->out_links(node)) {
     const topo::Link& l = topo_->link(lid);
-    if (!l.up) continue;
-    if (dist[l.dst.index()] == here - 1) out.push_back(lid);
+    if (!l.up || dist[l.dst.index()] != here - 1) continue;
+    // The field gives non-transit nodes (NICs) a distance too, as sources;
+    // a hop into one that is not the destination would relay through it.
+    if (l.dst != dst && !can_transit(topo_->node(l.dst).kind)) continue;
+    out.push_back(lid);
   }
   return out;
 }

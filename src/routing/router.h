@@ -2,10 +2,10 @@
 //
 // For each destination we BFS a hop-count field over *up* links; at any node
 // the ECMP group toward a destination is the set of up out-links whose far
-// end is strictly closer. Path tracing then applies the configured switch
-// hash at every hop — so hash polarization, per-port core hashing and
-// dual-plane path pinning all emerge from topology + hash policy, never
-// from special cases.
+// end is strictly closer and can transit (or is the destination). Path
+// tracing then applies the configured switch hash at every hop — so hash
+// polarization, per-port core hashing and dual-plane path pinning all
+// emerge from topology + hash policy, never from special cases.
 //
 // Distance fields are cached per destination and invalidated wholesale when
 // link state changes (BGP reconvergence is modeled by the ctrl layer; the
@@ -20,6 +20,15 @@
 #include "topo/topology.h"
 
 namespace hpn::routing {
+
+/// Only switches forward through-traffic; GPUs/NICs/NVSwitches/hosts can
+/// originate and terminate but never transit (host relay for rail-only
+/// designs is an *explicit* ccl-layer action, not a routing artifact). Every
+/// path-finder applies this rule to each hop but the last.
+[[nodiscard]] constexpr bool can_transit(topo::NodeKind kind) {
+  return kind == topo::NodeKind::kTor || kind == topo::NodeKind::kAgg ||
+         kind == topo::NodeKind::kCore;
+}
 
 struct Path {
   std::vector<LinkId> links;
@@ -37,7 +46,8 @@ class Router {
   /// Hop distance from `from` to `dst` over up links; -1 if unreachable.
   [[nodiscard]] int distance(NodeId from, NodeId dst);
 
-  /// The ECMP group at `node` toward `dst`: all up out-links one hop closer.
+  /// The ECMP group at `node` toward `dst`: all up out-links one hop closer
+  /// whose far end is `dst` itself or can transit.
   [[nodiscard]] std::vector<LinkId> ecmp_links(NodeId node, NodeId dst);
 
   /// Trace the exact path flow `ft` takes from `src` to `dst`, applying the

@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "fabric/fabric.h"
+#include "routing/router.h"
 #include "topo/builders.h"
 
 namespace hpn::fuzz {
@@ -15,11 +16,6 @@ namespace hpn::fuzz {
 namespace {
 
 constexpr std::string_view kHeader = "hpnsim-scenario v1";
-
-bool is_switch(topo::NodeKind kind) {
-  return kind == topo::NodeKind::kTor || kind == topo::NodeKind::kAgg ||
-         kind == topo::NodeKind::kCore;
-}
 
 /// Shortest path src -> dst over up access/fabric links, traversing only
 /// switch nodes in between (a path through another NIC is physically
@@ -40,7 +36,7 @@ std::vector<LinkId> bfs_path(const topo::Topology& t, NodeId src, NodeId dst) {
         continue;
       }
       if (seen[l.dst.index()] != 0) continue;
-      if (l.dst != dst && !is_switch(t.node(l.dst).kind)) continue;
+      if (l.dst != dst && !routing::can_transit(t.node(l.dst).kind)) continue;
       seen[l.dst.index()] = 1;
       via[l.dst.index()] = lid;
       if (l.dst == dst) {

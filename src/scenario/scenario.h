@@ -170,9 +170,18 @@ struct Materialized {
 Materialized materialize(const Scenario& scenario);
 
 /// The path policy materialize() resolves flows with: BFS shortest path
-/// over *up* access/fabric links, switch-transit only, deterministic
-/// (adjacency in link-id order). Exposed so the serve daemon routes
-/// add-job probe flows exactly like base flows.
+/// over *up* access/fabric links, deterministic (adjacency in link-id
+/// order), transiting only nodes routing::can_transit() admits — the same
+/// rule routing::Router applies. Exposed so the serve daemon routes add-job
+/// probe flows exactly like base flows.
+///
+/// Scenarios keep this path-finder instead of the fabric's Router for
+/// memory: Router caches one int32 distance field per destination, so at
+/// serve's Pod base (10,308 nodes, 4,096 endpoints) its fields would hold
+/// about 169 MB, more than twice the 75 MB peak RSS of a whole perfbench
+/// serve_whatif run. A per-flow BFS keeps only node-count scratch. The
+/// price is that scenario paths take the first shortest path, not an ECMP
+/// hash.
 std::vector<LinkId> shortest_path(const topo::Topology& topo, NodeId src, NodeId dst);
 
 /// Greedy shrink candidates, most aggressive first: drop flow/fault

@@ -73,11 +73,11 @@ void write_dot(const Cluster& cluster, std::ostream& os, const ExportOptions& op
   // Edges.
   std::set<std::pair<std::string, std::string>> seen_edges;
   for (const Link& l : cluster.topo.links()) {
-    if (opts.undirected && l.reverse.value() < l.id.value()) continue;
+    if (l.reverse.value() < l.id.value()) continue;
     std::string a = node_name[l.src.index()];
     std::string b = node_name[l.dst.index()];
     if (a == b) continue;  // collapsed intra-host link
-    if (opts.undirected && a > b) std::swap(a, b);
+    if (a > b) std::swap(a, b);
     if (!seen_edges.insert({a, b}).second) continue;
     os << "  \"" << a << "\" -- \"" << b << "\" [label=\"" << to_string(l.capacity)
        << "\"" << (l.up ? "" : ", style=dashed, color=red") << "];\n";

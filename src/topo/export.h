@@ -14,12 +14,11 @@ struct ExportOptions {
   /// Collapse endpoint devices (GPUs, NICs, NVSwitches) into their host to
   /// keep paper-scale graphs renderable; switches are always emitted.
   bool collapse_hosts = false;
-  /// Skip duplex twins (emit one undirected edge per cable).
-  bool undirected = true;
 };
 
-/// Graphviz DOT. Nodes are shaped/colored by kind, ranked by tier; edges
-/// are labeled with capacity and dashed when down.
+/// Graphviz DOT. Nodes are shaped/colored by kind, ranked by tier; one
+/// undirected edge per cable (duplex twins skipped), labeled with capacity
+/// and dashed when down.
 void write_dot(const Cluster& cluster, std::ostream& os, const ExportOptions& opts = {});
 
 /// JSON: {"nodes":[...],"links":[...]} with full metadata.

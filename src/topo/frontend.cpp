@@ -6,18 +6,30 @@
 
 namespace hpn::topo {
 
-std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) {
-  HPN_CHECK(cfg.hosts_per_segment >= 1 && cfg.aggs >= 1 && cfg.storage_hosts >= 0);
+namespace {
+
+/// Compute hosts per frontend segment (dual-ToR pair).
+constexpr int kHostsPerSegment = 16;
+constexpr int kAggs = 8;
+/// CPFS/OSS storage hosts (96-128 in production, §8).
+constexpr int kStorageHosts = 8;
+constexpr Bandwidth kAccess = Bandwidth::gbps(200);  ///< 2x200G per NIC.
+constexpr Bandwidth kFabric = Bandwidth::gbps(400);
+constexpr Duration kLatency = Duration::micros(1);
+
+}  // namespace
+
+std::vector<StorageHost> attach_frontend(Cluster& c) {
   HPN_CHECK_MSG(c.frontend_tors.empty(), "frontend already attached");
 
   // Entities needing access: every compute host's NIC0 plus the storage
   // cluster; storage fills its own trailing segments.
   const int compute = static_cast<int>(c.hosts.size());
-  const int total = compute + cfg.storage_hosts;
-  const int segments = (total + cfg.hosts_per_segment - 1) / cfg.hosts_per_segment;
+  const int total = compute + kStorageHosts;
+  const int segments = (total + kHostsPerSegment - 1) / kHostsPerSegment;
 
   // Agg layer (1:1): every frontend ToR connects once to every Agg.
-  for (int a = 0; a < cfg.aggs; ++a) {
+  for (int a = 0; a < kAggs; ++a) {
     Location loc;
     loc.pod = -2;  // frontend plane of the world
     loc.local = a;
@@ -38,14 +50,14 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
       pair[static_cast<std::size_t>(p)] = tor;
       c.frontend_tors.push_back(tor);
       for (const NodeId agg : c.frontend_aggs) {
-        c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, cfg.fabric, cfg.latency);
+        c.topo.add_duplex_link(tor, agg, LinkKind::kFabric, kFabric, kLatency);
       }
     }
     tor_pairs.push_back(pair);
   }
 
   auto wire = [&](NodeId endpoint, int slot) {
-    const auto& pair = tor_pairs.at(static_cast<std::size_t>(slot / cfg.hosts_per_segment));
+    const auto& pair = tor_pairs.at(static_cast<std::size_t>(slot / kHostsPerSegment));
     NicAttachment att;
     att.nic = endpoint;
     att.ports = 2;
@@ -53,7 +65,7 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
       att.tor[static_cast<std::size_t>(p)] = pair[static_cast<std::size_t>(p)];
       att.access[static_cast<std::size_t>(p)] =
           c.topo.add_duplex_link(endpoint, pair[static_cast<std::size_t>(p)],
-                                 LinkKind::kAccess, cfg.access, cfg.latency)
+                                 LinkKind::kAccess, kAccess, kLatency)
               .forward;
     }
     return att;
@@ -70,7 +82,7 @@ std::vector<StorageHost> attach_frontend(Cluster& c, const FrontendConfig& cfg) 
   }
 
   std::vector<StorageHost> storage;
-  for (int i = 0; i < cfg.storage_hosts; ++i) {
+  for (int i = 0; i < kStorageHosts; ++i) {
     Location loc;
     loc.pod = -2;
     loc.local = i;

@@ -23,21 +23,10 @@ struct StorageHost {
   bool on_backend = false;
 };
 
-struct FrontendConfig {
-  /// Compute hosts per frontend segment (dual-ToR pair).
-  int hosts_per_segment = 16;
-  int aggs = 8;
-  /// CPFS/OSS storage hosts (96-128 in production, §8).
-  int storage_hosts = 8;
-  Bandwidth access = Bandwidth::gbps(200);  ///< 2x200G per NIC.
-  Bandwidth fabric = Bandwidth::gbps(400);
-  Duration latency = Duration::micros(1);
-};
-
 /// Extends an existing backend cluster with its frontend network: adds a
 /// frontend NIC per compute host (Host::frontend_nic), frontend ToR pairs,
 /// an Agg layer (1:1), and the storage cluster. Returns the storage hosts.
-std::vector<StorageHost> attach_frontend(Cluster& cluster, const FrontendConfig& cfg = {});
+std::vector<StorageHost> attach_frontend(Cluster& cluster);
 
 /// The §10-rejected alternative: storage hosts plugged into *backend* ToRs
 /// (consuming the backup ports of segment 0's rail-0/1 ToR pairs). Their

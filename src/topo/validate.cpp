@@ -135,7 +135,7 @@ std::vector<std::string> validate(const Cluster& cluster, const ValidationOption
   check_dual_links(cluster, out);
   check_nic_wiring(cluster, out);
   check_dual_plane_isolation(cluster, tiers, out);
-  if (opts.check_chip_budget) check_chip_budget(cluster, opts.chip_capacity, out);
+  check_chip_budget(cluster, opts.chip_capacity, out);
   return out;
 }
 

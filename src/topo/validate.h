@@ -34,8 +34,6 @@ TierProfile discover_tiers(const Cluster& cluster);
 struct ValidationOptions {
   /// Aggregate switching budget per single chip (51.2 Tbps, §5.1).
   Bandwidth chip_capacity = Bandwidth::tbps(51.2);
-  /// Check every node's total port bandwidth against chip_capacity.
-  bool check_chip_budget = true;
 };
 
 std::vector<std::string> validate(const Cluster& cluster, const ValidationOptions& opts = {});

@@ -4,6 +4,13 @@
 
 namespace hpn::workload {
 
+namespace {
+
+/// Prompt upload, gateway -> serving host.
+constexpr DataSize kRequestSize = DataSize::kilobytes(8);
+
+}  // namespace
+
 InferenceService::InferenceService(const topo::Cluster& cluster, sim::Simulator& simulator,
                                    flowsim::FlowSession& session, routing::Router& router,
                                    std::vector<int> serving_hosts,
@@ -75,7 +82,7 @@ void InferenceService::handle_request() {
   const Duration compute =
       Duration::seconds(rng_.exponential(config_.compute_mean.as_seconds()));
   session_->start_flow(
-      req_path.links, config_.request_size, Bandwidth::gbps(200),
+      req_path.links, kRequestSize, Bandwidth::gbps(200),
       [this, alive = alive_, accepted, host_idx, gateway, compute](FlowId) {
         if (!*alive) return;
         // GPU produces the response after `compute`, then streams it back.

@@ -24,8 +24,7 @@ namespace hpn::workload {
 struct InferenceConfig {
   /// Aggregate request arrival rate across the cluster.
   double requests_per_sec = 2'000.0;
-  DataSize request_size = DataSize::kilobytes(8);     ///< Prompt upload.
-  DataSize response_size = DataSize::megabytes(2);    ///< Streamed tokens.
+  DataSize response_size = DataSize::megabytes(2);  ///< Streamed tokens.
   /// GPU time to produce the response (prefill + decode), exponential mean.
   Duration compute_mean = Duration::millis(150);
   std::uint64_t seed = 1;

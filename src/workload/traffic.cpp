@@ -19,25 +19,34 @@ CloudTrafficSample CloudTrafficModel::at_hour(double hour) {
   return s;
 }
 
-std::vector<metrics::TimeSeries> generate_nic_bursts(const NicBurstConfig& config,
-                                                     Duration total, std::uint64_t seed) {
-  HPN_CHECK(config.sample_every > Duration::zero());
+namespace {
+
+// Fig 2's production job: a 20 s iteration whose first 6 s are the
+// gradient-sync window, on 8 backend NICs sampled every 500 ms.
+constexpr Duration kIteration = Duration::seconds(20.0);
+constexpr Duration kBurst = Duration::seconds(6.0);
+constexpr Bandwidth kLineRate = Bandwidth::gbps(400);
+constexpr Duration kSampleEvery = Duration::millis(500);
+constexpr int kNics = 8;
+
+}  // namespace
+
+std::vector<metrics::TimeSeries> generate_nic_bursts(Duration total, std::uint64_t seed) {
   Rng rng{seed};
   std::vector<metrics::TimeSeries> out;
   // All NICs burst in the same window: gradient sync engages every rail at
   // once (Fig 2 shows 8 overlapping traces).
-  const double period_s = config.iteration.as_seconds();
-  const double burst_s = config.burst.as_seconds();
-  for (int nic = 0; nic < config.nics; ++nic) {
+  const double period_s = kIteration.as_seconds();
+  const double burst_s = kBurst.as_seconds();
+  for (int nic = 0; nic < kNics; ++nic) {
     metrics::TimeSeries ts{"NIC-" + std::to_string(nic + 1)};
     Rng nic_rng = rng.fork(static_cast<std::uint64_t>(nic));
-    for (TimePoint t = TimePoint::origin(); t.since_origin() <= total;
-         t += config.sample_every) {
+    for (TimePoint t = TimePoint::origin(); t.since_origin() <= total; t += kSampleEvery) {
       const double in_period = std::fmod(t.as_seconds(), period_s);
       double gbps;
       if (in_period < burst_s) {
         // Bursts instantly fill the NIC; slight per-sample ripple.
-        gbps = config.line_rate.as_gbps() * nic_rng.uniform_real(0.96, 1.0);
+        gbps = kLineRate.as_gbps() * nic_rng.uniform_real(0.96, 1.0);
       } else {
         gbps = nic_rng.uniform_real(0.0, 2.0);  // background chatter
       }

@@ -35,19 +35,10 @@ class CloudTrafficModel {
 };
 
 // ---- Fig 2: NIC egress bursts during LLM training ---------------------------
-struct NicBurstConfig {
-  Duration iteration = Duration::seconds(20.0);
-  Duration burst = Duration::seconds(6.0);  ///< Gradient-sync window.
-  Bandwidth line_rate = Bandwidth::gbps(400);
-  Duration sample_every = Duration::millis(500);
-  int nics = 8;
-};
-
 /// Per-NIC egress throughput: near-zero during compute, slamming to the
 /// full 400G line rate during the backward-phase AllReduce of every
 /// iteration, on all 8 NICs simultaneously.
-std::vector<metrics::TimeSeries> generate_nic_bursts(const NicBurstConfig& config,
-                                                     Duration total, std::uint64_t seed);
+std::vector<metrics::TimeSeries> generate_nic_bursts(Duration total, std::uint64_t seed);
 
 // ---- Fig 3: connections per host --------------------------------------------
 /// LLM hosts hold a few dozen to a few hundred connections; cloud hosts

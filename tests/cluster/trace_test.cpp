@@ -60,12 +60,12 @@ TEST(Trace, RespectsClampsAndShape) {
       EXPECT_LE(j.iterations, cfg.max_iterations);
     } else {
       ++inference;
-      EXPECT_LE(j.hosts, cfg.max_inference_hosts);
-      EXPECT_GE(j.service_time, cfg.min_service);
-      EXPECT_LE(j.service_time, cfg.max_service);
+      EXPECT_LE(j.hosts, kMaxInferenceHosts);
+      EXPECT_GE(j.service_time, kMinService);
+      EXPECT_LE(j.service_time, kMaxService);
     }
   }
-  // inference_fraction = 0.25 over 200 draws: both kinds must show up.
+  // kInferenceFraction = 0.25 over 200 draws: both kinds must show up.
   EXPECT_GT(training, 0);
   EXPECT_GT(inference, 0);
 }

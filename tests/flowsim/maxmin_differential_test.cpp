@@ -1,6 +1,7 @@
-// Differential harness: the rewritten dense/heap water-filling engine must
-// be allocation-equivalent to the seed implementation (ReferenceMaxMinSolver)
-// before it is allowed to replace it under every throughput bench. Each
+// Differential harness: a cold solve on the dense/heap water-filling engine
+// (IncrementalMaxMin, one add_flow per flow, then resolve()) must be
+// allocation-equivalent to the seed implementation (ReferenceMaxMinSolver)
+// that it replaced under every throughput bench. Each
 // trial draws a random multigraph, a random flow set (ties, caps, host-local
 // and stalled flows included) and asserts rate-for-rate agreement within
 // 1e-6 relative.
@@ -33,7 +34,7 @@ void run_trial(std::uint64_t seed, bool with_failures) {
 
   std::vector<FlowDemand> expected = flows;
   ReferenceMaxMinSolver{net.topo}.solve(expected);
-  MaxMinSolver{net.topo}.solve(flows);
+  ts::solve_cold(net.topo, flows);
   ts::expect_rates_near(ts::rates_of(flows), ts::rates_of(expected), kRelTol);
 }
 
@@ -88,7 +89,7 @@ TEST(MaxMinDifferential, AgreesOnHpnClusterWithRoutedPaths) {
 
     std::vector<FlowDemand> expected = flows;
     ReferenceMaxMinSolver{topo}.solve(expected);
-    MaxMinSolver{topo}.solve(flows);
+    ts::solve_cold(topo, flows);
     ts::expect_rates_near(ts::rates_of(flows), ts::rates_of(expected), kRelTol);
 
     for (const LinkId l : failed) topo.set_link_up(l, true);
@@ -97,19 +98,26 @@ TEST(MaxMinDifferential, AgreesOnHpnClusterWithRoutedPaths) {
 }
 
 TEST(MaxMinDifferential, SolverScratchIsReusableAcrossSolves) {
-  // One MaxMinSolver instance re-solving different flow sets must not leak
-  // state between calls (the dense scratch is epoch-stamped, not cleared).
+  // One engine re-solving different flow sets (each round removes the last
+  // round's flows and adds its own) must not leak state between rounds: the
+  // dense scratch is epoch-stamped, not cleared, and handles are recycled.
   Rng rng{4242};
   ts::RandomNet net = ts::make_random_net(rng, 8, 16);
-  MaxMinSolver solver{net.topo};
+  IncrementalMaxMin solver{net.topo, Aggregation::kPerFlow};
+  std::vector<IncrementalMaxMin::Handle> handles;
   for (int round = 0; round < 50; ++round) {
     SCOPED_TRACE("round=" + std::to_string(round));
-    std::vector<FlowDemand> flows =
+    for (const auto h : handles) solver.remove_flow(h);
+    handles.clear();
+    const std::vector<FlowDemand> flows =
         ts::random_flows(net, rng, static_cast<int>(rng.uniform_int(1, 60)));
+    for (const FlowDemand& f : flows) handles.push_back(solver.add_flow(f.path, f.cap_bps));
+    solver.resolve();
     std::vector<FlowDemand> expected = flows;
     ReferenceMaxMinSolver{net.topo}.solve(expected);
-    solver.solve(flows);
-    ts::expect_rates_near(ts::rates_of(flows), ts::rates_of(expected), kRelTol);
+    std::vector<double> got;
+    for (const auto h : handles) got.push_back(solver.rate(h));
+    ts::expect_rates_near(got, ts::rates_of(expected), kRelTol);
   }
 }
 

@@ -30,7 +30,7 @@ void check_against_cold(const ts::RandomNet& net, IncrementalMaxMin& inc,
   std::vector<FlowDemand> cold;
   cold.reserve(shadow.size());
   for (const ShadowFlow& s : shadow) cold.push_back({.path = s.path, .cap_bps = s.cap_bps});
-  MaxMinSolver{net.topo}.solve(cold);
+  ts::solve_cold(net.topo, cold);
 
   std::vector<double> got;
   got.reserve(shadow.size());

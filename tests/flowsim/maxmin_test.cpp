@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/random_scenarios.h"
 #include "topo/topology.h"
 
 namespace hpn::flowsim {
 namespace {
 
+namespace ts = testsupport;
 using topo::LinkKind;
 using topo::NodeKind;
 using topo::Topology;
@@ -35,19 +37,19 @@ class MaxMinTest : public ::testing::Test {
 
 TEST_F(MaxMinTest, SingleFlowTakesBottleneck) {
   std::vector<FlowDemand> flows{{.path = {ab, bc, cd}}};
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   EXPECT_NEAR(flows[0].rate_bps, 40 * kGbps, 1);
 }
 
 TEST_F(MaxMinTest, SingleFlowRespectsCap) {
   std::vector<FlowDemand> flows{{.path = {ab, bc, cd}, .cap_bps = 10 * kGbps}};
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   EXPECT_NEAR(flows[0].rate_bps, 10 * kGbps, 1);
 }
 
 TEST_F(MaxMinTest, TwoFlowsShareEvenly) {
   std::vector<FlowDemand> flows{{.path = {ab, bc}}, {.path = {ab, bc}}};
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   EXPECT_NEAR(flows[0].rate_bps, 20 * kGbps, 1);
   EXPECT_NEAR(flows[1].rate_bps, 20 * kGbps, 1);
 }
@@ -56,7 +58,7 @@ TEST_F(MaxMinTest, CappedFlowReleasesShare) {
   // A capped at 5G; B should pick up the remaining 35G of the 40G link.
   std::vector<FlowDemand> flows{{.path = {ab, bc}, .cap_bps = 5 * kGbps},
                                 {.path = {ab, bc}}};
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   EXPECT_NEAR(flows[0].rate_bps, 5 * kGbps, 1);
   EXPECT_NEAR(flows[1].rate_bps, 35 * kGbps, 1);
 }
@@ -70,7 +72,7 @@ TEST_F(MaxMinTest, ParkingLotFairness) {
       {.path = {ab}},          // cross on first hop
       {.path = {cd}},          // cross on last hop
   };
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   // Long flow: min(100/2, 40, 100/2) = 40.
   EXPECT_NEAR(flows[0].rate_bps, 40 * kGbps, 1);
   EXPECT_NEAR(flows[1].rate_bps, 60 * kGbps, 1);
@@ -79,14 +81,14 @@ TEST_F(MaxMinTest, ParkingLotFairness) {
 
 TEST_F(MaxMinTest, EmptyPathGetsCap) {
   std::vector<FlowDemand> flows{{.path = {}, .cap_bps = 7 * kGbps}};
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   EXPECT_NEAR(flows[0].rate_bps, 7 * kGbps, 1);
 }
 
 TEST_F(MaxMinTest, ManyFlowsConserveCapacity) {
   std::vector<FlowDemand> flows;
   for (int i = 0; i < 64; ++i) flows.push_back({.path = {ab, bc, cd}});
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   double total = 0;
   for (const auto& f : flows) {
     EXPECT_NEAR(f.rate_bps, 40 * kGbps / 64, 1);
@@ -99,14 +101,14 @@ TEST_F(MaxMinTest, UnequalBottlenecksWaterfill) {
   // f1 on ab only, f2 on ab+bc. f2 bottlenecked at bc (40), f1 then gets
   // the rest of ab (60).
   std::vector<FlowDemand> flows{{.path = {ab}}, {.path = {ab, bc}}};
-  MaxMinSolver{t}.solve(flows);
+  ts::solve_cold(t, flows);
   EXPECT_NEAR(flows[1].rate_bps, 40 * kGbps, 1);
   EXPECT_NEAR(flows[0].rate_bps, 60 * kGbps, 1);
 }
 
 TEST_F(MaxMinTest, NoFlowsIsNoOp) {
   std::vector<FlowDemand> flows;
-  EXPECT_NO_THROW(MaxMinSolver{t}.solve(flows));
+  EXPECT_NO_THROW(ts::solve_cold(t, flows));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "flowsim/maxmin.h"
 #include "flowsim/session.h"
 #include "routing/router.h"
+#include "tests/support/random_scenarios.h"
 #include "topo/builders.h"
 
 namespace hpn::flowsim {
@@ -47,7 +48,7 @@ TEST_P(MaxMinProperty, FeasibleConservingAndMaxMin) {
   routing::Router r{c.topo};
   Rng rng{GetParam()};
   auto flows = random_flows(c, r, rng, 96);
-  MaxMinSolver{c.topo}.solve(flows);
+  testsupport::solve_cold(c.topo, flows);
 
   // Feasibility: no link carries more than its capacity.
   std::unordered_map<LinkId, double> load;

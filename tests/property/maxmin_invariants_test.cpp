@@ -36,7 +36,7 @@ std::unordered_map<LinkId, double> link_loads(const std::vector<FlowDemand>& flo
 
 TEST_P(MaxMinInvariants, NoLinkExceedsCapacity) {
   std::vector<FlowDemand> flows = ts::random_flows(net_, rng_, 80);
-  MaxMinSolver{net_.topo}.solve(flows);
+  ts::solve_cold(net_.topo, flows);
   for (const auto& [lid, sum] : link_loads(flows)) {
     EXPECT_LE(sum, net_.topo.link(lid).capacity.as_bits_per_sec() * (1.0 + 1e-6))
         << "link " << lid << " over capacity";
@@ -49,7 +49,7 @@ TEST_P(MaxMinInvariants, NoLinkExceedsCapacity) {
 
 TEST_P(MaxMinInvariants, UnstalledFlowsAreCapOrBottleneckSaturated) {
   std::vector<FlowDemand> flows = ts::random_flows(net_, rng_, 80);
-  MaxMinSolver{net_.topo}.solve(flows);
+  ts::solve_cold(net_.topo, flows);
   const auto load = link_loads(flows);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const FlowDemand& f = flows[i];
@@ -75,7 +75,7 @@ TEST_P(MaxMinInvariants, UnstalledFlowsAreCapOrBottleneckSaturated) {
 TEST_P(MaxMinInvariants, AllocationIsOrderIndependent) {
   std::vector<FlowDemand> flows = ts::random_flows(net_, rng_, 60);
   std::vector<FlowDemand> baseline = flows;
-  MaxMinSolver{net_.topo}.solve(baseline);
+  ts::solve_cold(net_.topo, baseline);
 
   // Shuffle, solve, map back to original identity.
   std::vector<std::size_t> perm(flows.size());
@@ -84,7 +84,7 @@ TEST_P(MaxMinInvariants, AllocationIsOrderIndependent) {
   std::vector<FlowDemand> shuffled;
   shuffled.reserve(flows.size());
   for (const std::size_t p : perm) shuffled.push_back(flows[p]);
-  MaxMinSolver{net_.topo}.solve(shuffled);
+  ts::solve_cold(net_.topo, shuffled);
 
   std::vector<double> got(flows.size(), 0.0);
   for (std::size_t k = 0; k < perm.size(); ++k) got[perm[k]] = shuffled[k].rate_bps;
@@ -95,7 +95,7 @@ TEST_P(MaxMinInvariants, DownLinkFlowsGetExactlyZero) {
   std::vector<FlowDemand> flows = ts::random_flows(net_, rng_, 80);
   const std::vector<LinkId> failed =
       ts::fail_random_links(net_, rng_, static_cast<int>(rng_.uniform_int(1, 5)));
-  MaxMinSolver{net_.topo}.solve(flows);
+  ts::solve_cold(net_.topo, flows);
   for (const FlowDemand& f : flows) {
     bool crosses_down = false;
     for (const LinkId l : f.path) crosses_down |= !net_.topo.is_up(l);

@@ -146,6 +146,38 @@ TEST_F(RouterHpnTest, TraceViaDownFirstHopFails) {
   EXPECT_FALSE(r.trace_via(att.access[0], c.nic_of(8).nic, tuple_for(c, 0, 8)).valid());
 }
 
+// Single-plane dual-ToR failover: with h0's tor0 cable down, tor0 reaches
+// h0 only through the Agg. h1, dual-homed to both ToRs, sits one hop closer
+// to h0 than tor0 does, but a NIC forwards nothing, so it is never a next
+// hop toward another node.
+TEST(RouterTransit, NicIsNeverANextHopTowardAnotherNode) {
+  topo::Topology t;
+  const NodeId tor0 = t.add_node(NodeKind::kTor, "tor0");
+  const NodeId tor1 = t.add_node(NodeKind::kTor, "tor1");
+  const NodeId agg = t.add_node(NodeKind::kAgg, "agg");
+  const NodeId h0 = t.add_node(NodeKind::kNic, "h0");
+  const NodeId h1 = t.add_node(NodeKind::kNic, "h1");
+  const Bandwidth bw = Bandwidth::gbps(200);
+  const Duration lat = Duration::micros(1);
+  const LinkId tor0_agg = t.add_duplex_link(tor0, agg, LinkKind::kFabric, bw, lat).forward;
+  t.add_duplex_link(tor1, agg, LinkKind::kFabric, bw, lat);
+  const LinkId h0_tor0 = t.add_duplex_link(h0, tor0, LinkKind::kAccess, bw, lat).forward;
+  t.add_duplex_link(h0, tor1, LinkKind::kAccess, bw, lat);
+  t.add_duplex_link(h1, tor0, LinkKind::kAccess, bw, lat);
+  t.add_duplex_link(h1, tor1, LinkKind::kAccess, bw, lat);
+  t.set_duplex_up(h0_tor0, false);
+
+  Router r{t};
+  EXPECT_EQ(r.ecmp_links(tor0, h0), std::vector<LinkId>{tor0_agg});
+  for (std::uint16_t sport = 0; sport < 64; ++sport) {
+    const Path p = r.trace(tor0, h0, FiveTuple{.src_ip = 1, .dst_ip = 2, .src_port = sport});
+    ASSERT_EQ(p.hops(), 3u);
+    for (std::size_t i = 0; i + 1 < p.links.size(); ++i) {
+      EXPECT_TRUE(can_transit(t.node(t.link(p.links[i]).dst).kind)) << "sport " << sport;
+    }
+  }
+}
+
 TEST(RouterMultiPod, CrossPodIsSixHops) {
   auto cfg = HpnConfig::tiny();
   cfg.pods = 2;

@@ -124,6 +124,18 @@ inline void expect_rates_near(const std::vector<double>& got,
   }
 }
 
+/// Cold solve on the production engine: every flow added to a fresh
+/// IncrementalMaxMin with one solver item per flow, one resolve(), and the
+/// rates written back into `flows`.
+inline void solve_cold(const topo::Topology& topo, std::vector<FlowDemand>& flows) {
+  IncrementalMaxMin inc{topo, Aggregation::kPerFlow};
+  std::vector<IncrementalMaxMin::Handle> handles;
+  handles.reserve(flows.size());
+  for (const FlowDemand& f : flows) handles.push_back(inc.add_flow(f.path, f.cap_bps));
+  inc.resolve();
+  for (std::size_t i = 0; i < flows.size(); ++i) flows[i].rate_bps = inc.rate(handles[i]);
+}
+
 inline std::vector<double> rates_of(const std::vector<FlowDemand>& flows) {
   std::vector<double> r;
   r.reserve(flows.size());

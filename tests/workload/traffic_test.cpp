@@ -29,8 +29,7 @@ TEST(CloudTraffic, DiurnalShape) {
 }
 
 TEST(NicBursts, PeriodicAndLineRate) {
-  NicBurstConfig cfg;
-  const auto traces = generate_nic_bursts(cfg, Duration::seconds(100.0), 7);
+  const auto traces = generate_nic_bursts(Duration::seconds(100.0), 7);
   ASSERT_EQ(traces.size(), 8u);
   for (const auto& ts : traces) {
     const auto s = ts.summary();
@@ -46,8 +45,7 @@ TEST(NicBursts, PeriodicAndLineRate) {
 }
 
 TEST(NicBursts, AllNicsBurstTogether) {
-  NicBurstConfig cfg;
-  const auto traces = generate_nic_bursts(cfg, Duration::seconds(40.0), 7);
+  const auto traces = generate_nic_bursts(Duration::seconds(40.0), 7);
   // At a burst instant, every NIC is hot (gradient sync engages all rails).
   const auto& t0 = traces[0];
   for (std::size_t i = 0; i < t0.size(); ++i) {
