@@ -10,6 +10,10 @@
 //              and re-solves only the affected component.
 //   * cached — the same queries again: content-addressed hits that decode
 //              the stored wire bytes without touching a solver.
+//   * protocol_hit — one repeated query through serve_loop on string
+//              streams: what a hit costs a client apart from the pipe
+//              (framing, parse memo, engine hit, reply text). Reported, not
+//              gated.
 //
 // Acceptance (full mode): warm and cached medians must each be >= 100x
 // faster than the cold median, and every warm/cached answer must be
@@ -20,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,6 +82,20 @@ fuzz::Scenario pod_scenario(std::uint32_t hosts, std::uint32_t segments,
 struct Phase {
   std::string name;
   std::vector<double> us;  ///< per-query latencies
+};
+
+/// Output buffer that stamps the clock at every flush. serve_loop flushes
+/// once per answered batch, so consecutive stamps bracket one query's
+/// framing, parse, answer and reply text.
+class StampingBuf : public std::stringbuf {
+ public:
+  std::vector<Clock::time_point> stamps;
+
+ protected:
+  int sync() override {
+    stamps.push_back(Clock::now());
+    return 0;
+  }
 };
 
 }  // namespace
@@ -162,6 +181,37 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- protocol_hit: one query, then the same bytes again, per `go` -------
+  // The first answer computes cold; every repeat is a result-cache hit.
+  Phase protocol{"protocol_hit", {}};
+  {
+    const std::string request = "query kill-link 0\n" + base.to_text() + "go\n";
+    std::string script;
+    for (int i = 0; i <= warm_samples; ++i) script += request;
+    std::istringstream in{script};
+    StampingBuf buf;
+    std::ostream out{&buf};
+    serve::serve_loop(in, out);
+    // Stamps: banner, the cold answer, then one per hit.
+    const std::vector<Clock::time_point>& at = buf.stamps;
+    for (std::size_t i = 2; i < at.size(); ++i) {
+      protocol.us.push_back(std::chrono::duration<double, std::micro>(at[i] - at[i - 1]).count());
+    }
+    std::size_t hits = 0;
+    const std::string text = buf.str();
+    for (std::size_t at_hit = text.find("reply 0 ok kill-link hit ");
+         at_hit != std::string::npos;
+         at_hit = text.find("reply 0 ok kill-link hit ", at_hit + 1)) {
+      ++hits;
+    }
+    if (protocol.us.size() != static_cast<std::size_t>(warm_samples) ||
+        hits != protocol.us.size()) {
+      std::cout << "FAIL: protocol_hit answered " << hits << " hits in "
+                << protocol.us.size() << " flushes, want " << warm_samples << "\n";
+      return 1;
+    }
+  }
+
   // ---- byte-stability at any --jobs: one mixed batch, jobs ladder --------
   std::vector<serve::QueryRequest> batch;
   for (std::uint32_t i = 0; i < 8; ++i) batch.push_back(kill_query(100 + i));
@@ -195,7 +245,7 @@ int main(int argc, char** argv) {
   metrics::Table t{"serve query latency (kill-link on a cached pod base)"};
   t.columns({"phase", "queries", "median_us", "mean_us", "qps",
              "speedup_vs_cold"});
-  for (const Phase& p : {cold, warm, cached}) {
+  for (const Phase& p : {cold, warm, cached, protocol}) {
     double total = 0.0;
     for (const double u : p.us) total += u;
     const double med = median(p.us);

@@ -218,6 +218,11 @@ int cmd_serve(const Options& o) {
   opts.engine.cache_bytes = static_cast<std::size_t>(o.cache_mb) << 20;
   opts.engine.max_bases = static_cast<std::size_t>(o.max_bases);
   opts.max_query_bytes = static_cast<std::size_t>(o.max_query_kb) << 10;
+  // Queries run to hundreds of KB: read and write through the streams' own
+  // buffers, not line by line through stdio. serve_loop flushes every line
+  // a client waits on itself, so cin needs no tie to cout.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   return serve::serve_loop(std::cin, std::cout, opts);
 }
 

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "fabric/fabric.h"
@@ -630,6 +631,12 @@ Materialized materialize(const Scenario& scenario) {
     if (l.id.index() < l.reverse.index()) m.cables.push_back(l.id);
   }
 
+  // Flows repeat endpoint pairs (serve's Pod bases: 16,384 flows over
+  // 4,096 pairs), and the topology is fixed while flows resolve, so each
+  // pair runs BFS once. Value: index of the pair's first flow in m.flows,
+  // or kUnreachable.
+  constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
+  std::unordered_map<std::uint64_t, std::size_t> pair_flow;
   const auto n = static_cast<std::uint32_t>(m.endpoints.size());
   for (const ScenarioFlow& f : scenario.flows) {
     const std::uint32_t src_idx = f.src % n;
@@ -639,7 +646,14 @@ Materialized materialize(const Scenario& scenario) {
     Materialized::Flow flow;
     flow.src = m.endpoints[src_idx];
     flow.dst = m.endpoints[dst_idx];
-    flow.path = bfs_path(m.cluster.topo, flow.src, flow.dst);
+    const auto [memo, first] = pair_flow.try_emplace(
+        std::uint64_t{src_idx} << 32 | dst_idx, m.flows.size());
+    if (first) {
+      flow.path = bfs_path(m.cluster.topo, flow.src, flow.dst);
+      if (flow.path.empty()) memo->second = kUnreachable;
+    } else if (memo->second != kUnreachable) {
+      flow.path = m.flows[memo->second].path;
+    }
     if (flow.path.empty()) continue;  // unreachable pair: drop
     flow.size = DataSize::bytes(std::max<std::int64_t>(1, f.size_bytes));
     flow.cap = Bandwidth::gbps(std::clamp(f.cap_gbps, 0.5, 400.0));

@@ -179,9 +179,9 @@ Materialized materialize(const Scenario& scenario);
 /// memory: Router caches one int32 distance field per destination, so at
 /// serve's Pod base (10,308 nodes, 4,096 endpoints) its fields would hold
 /// about 169 MB, more than twice the 75 MB peak RSS of a whole perfbench
-/// serve_whatif run. A per-flow BFS keeps only node-count scratch. The
-/// price is that scenario paths take the first shortest path, not an ECMP
-/// hash.
+/// serve_whatif run. materialize() runs one BFS per distinct endpoint
+/// pair, which keeps only node-count scratch. The price is that scenario
+/// paths take the first shortest path, not an ECMP hash.
 std::vector<LinkId> shortest_path(const topo::Topology& topo, NodeId src, NodeId dst);
 
 /// Greedy shrink candidates, most aggressive first: drop flow/fault

@@ -1,8 +1,8 @@
 #include "serve/serve.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <iomanip>
 #include <istream>
 #include <limits>
 #include <list>
@@ -17,6 +17,7 @@
 #include "exec/runner_pool.h"
 #include "flowsim/maxmin.h"
 #include "flowsim/session.h"
+#include "serve/format.h"
 #include "sim/simulator.h"
 
 namespace hpn::serve {
@@ -41,20 +42,18 @@ std::uint64_t content_hash(std::string_view bytes) {
   return h;
 }
 
-/// Shortest-round-trip double formatting for the reply text. 17 significant
-/// digits: two doubles render identically iff they are the same bits, which
-/// is what makes "byte-identical replies" equivalent to "bit-identical
-/// answers".
-std::string fmt_g(double v) {
-  std::ostringstream os;
-  os << std::setprecision(17) << v;
-  return os.str();
-}
-
-std::string hex16(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
+/// True when `a` and `b` wire-encode to the same bytes: equal fields, and
+/// caps equal as bits (== alone would match -0.0 with 0.0, which encode
+/// differently).
+bool same_encoding(const fuzz::Scenario& a, const fuzz::Scenario& b) {
+  if (!(a == b)) return false;
+  for (std::size_t i = 0; i < a.flows.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a.flows[i].cap_gbps) !=
+        std::bit_cast<std::uint64_t>(b.flows[i].cap_gbps)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void finalize_summary(QueryResult& r) {
@@ -356,17 +355,36 @@ QueryEngine::~QueryEngine() = default;
 
 std::string QueryEngine::cache_key(std::uint64_t base_hash,
                                    const QueryRequest& q) const {
-  std::ostringstream os;
-  os << hex16(base_hash) << '|';
+  std::string key;
+  append_hex16(key, base_hash);
+  key += '|';
   switch (q.verb) {
-    case QueryRequest::Verb::kRun: os << "run"; break;
-    case QueryRequest::Verb::kKillLink: os << "kill-link|" << q.arg0; break;
-    case QueryRequest::Verb::kAddJob:
-      os << "add-job|" << q.arg0 << '|' << fmt_g(q.arg1);
+    case QueryRequest::Verb::kRun: key += "run"; break;
+    case QueryRequest::Verb::kKillLink:
+      key += "kill-link|";
+      append_u(key, q.arg0);
       break;
-    case QueryRequest::Verb::kResize: os << "resize|" << q.arg0; break;
+    case QueryRequest::Verb::kAddJob:
+      key += "add-job|";
+      append_u(key, q.arg0);
+      key += '|';
+      append_g(key, q.arg1);
+      break;
+    case QueryRequest::Verb::kResize:
+      key += "resize|";
+      append_u(key, q.arg0);
+      break;
   }
-  return os.str();
+  return key;
+}
+
+std::uint64_t QueryEngine::scenario_hash(const fuzz::Scenario& s) const {
+  // A query against a warm base resends that base's scenario; comparing it
+  // field by field costs a small fraction of wire-encoding it again.
+  for (const auto& [hash, slot] : impl_->bases) {
+    if (same_encoding(slot.state->scenario, s)) return hash;
+  }
+  return content_hash(encode_scenario(s));
 }
 
 QueryEngine::BaseState* QueryEngine::find_base(std::uint64_t hash) {
@@ -421,7 +439,7 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
   std::vector<std::pair<std::size_t, std::size_t>> dupes;  // (dup, compute)
   std::vector<std::size_t> to_compute;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    hashes[i] = content_hash(encode_scenario(batch[i].scenario));
+    hashes[i] = scenario_hash(batch[i].scenario);
     keys[i] = cache_key(hashes[i], batch[i]);
     answers[i].base_hash = hashes[i];
     const auto it = impl_->cache.find(keys[i]);
@@ -526,7 +544,12 @@ std::vector<Answer> QueryEngine::answer(const std::vector<QueryRequest>& batch) 
       }
     }
   };
-  if (!groups.empty()) {
+  // One group (a client's typical single query) or one job has nothing to
+  // run in parallel: evaluate on this thread instead of starting a pool
+  // thread per batch.
+  if (groups.size() == 1 || options_.jobs == 1) {
+    for (GroupTask& g : groups) run_group(g);
+  } else if (!groups.empty()) {
     exec::RunnerPool pool{options_.jobs};
     pool.map(groups.size(), [&](std::size_t gi) {
       run_group(groups[gi]);
@@ -579,6 +602,58 @@ void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// True when the line's first whitespace-separated token is exactly `end`:
+/// leading whitespace is skipped and `end` must be followed by whitespace
+/// or the end of the line — the rule `istringstream >> token` applies in
+/// the "C" locale, without building a stream per scenario line.
+bool is_end_line(std::string_view line) {
+  std::size_t i = 0;
+  while (i < line.size() && is_space(line[i])) ++i;
+  return line.substr(i, 3) == "end" && (i + 3 == line.size() || is_space(line[i + 3]));
+}
+
+/// Raw scenario text -> parsed Scenario. Every warm, hit, add-job and run
+/// query against a base resends that base's scenario byte for byte, and
+/// parsing a Pod-scale scenario costs more than the engine's answer. An
+/// entry matches only on a full byte compare, so no two texts can share a
+/// parse; with at most `capacity` entries, comparing bytes directly (a
+/// mismatch usually ends within the first lines) is cheaper than hashing
+/// hundreds of KB first. Parse errors are never stored, so a bad scenario
+/// answers its pinned error every time. Holds the `capacity` most recently
+/// used texts: the engine's max_bases, one per base the engine keeps warm.
+class ParseMemo {
+ public:
+  explicit ParseMemo(std::size_t capacity) : capacity_{std::max<std::size_t>(1, capacity)} {}
+
+  /// The parse of `text` (valid until the next call), or nullptr with
+  /// `*error` set.
+  const fuzz::Scenario* parse(std::string text, std::string* error) {
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (it->text == text) {
+        lru_.splice(lru_.begin(), lru_, it);
+        return &lru_.front().scenario;
+      }
+    }
+    auto scenario = fuzz::Scenario::from_text(text, error);
+    if (!scenario) return nullptr;
+    lru_.push_front({std::move(text), std::move(*scenario)});
+    if (lru_.size() > capacity_) lru_.pop_back();
+    return &lru_.front().scenario;
+  }
+
+ private:
+  struct Entry {
+    std::string text;
+    fuzz::Scenario scenario;
+  };
+  std::size_t capacity_;
+  std::list<Entry> lru_;  ///< front = most recently used
+};
+
 /// Parse "<verb> [args]" into `p.req`, or poison `p` with a pinned message.
 void parse_verb(std::istringstream& ls, PendingQuery& p) {
   std::string verb;
@@ -617,54 +692,84 @@ void parse_verb(std::istringstream& ls, PendingQuery& p) {
   }
 }
 
-void emit_reply(std::ostream& out, std::size_t index, const PendingQuery& p,
-                const Answer* a) {
+/// One rate or FCT line: "<tag> <index> <value> <state>".
+void append_line(std::string& out, char tag, std::size_t index, double value,
+                 const char* state) {
+  out += tag;
+  out += ' ';
+  append_u(out, index);
+  out += ' ';
+  append_g(out, value);
+  out += ' ';
+  out += state;
+  out += '\n';
+}
+
+void append_reply(std::string& out, std::size_t index, const PendingQuery& p,
+                  const Answer* a) {
+  out += "reply ";
+  append_u(out, index);
   if (!p.error.empty()) {
-    out << "reply " << index << " error " << p.error << "\n";
+    out += " error " + p.error + "\n";
     return;
   }
   HPN_CHECK(a != nullptr);
   if (!a->ok) {
-    out << "reply " << index << " error " << a->error << "\n";
+    out += " error " + a->error + "\n";
     return;
   }
   const char* source = a->source == Answer::Source::kCold   ? "cold"
                        : a->source == Answer::Source::kWarm ? "warm"
                                                             : "hit";
   const QueryResult& r = a->result;
-  out << "reply " << index << " ok " << p.verb_name << ' ' << source << " base="
-      << hex16(a->base_hash) << "\n";
-  out << "alloc " << r.base_flows.size() << "\n";
+  out += " ok " + p.verb_name + ' ' + source + " base=";
+  append_hex16(out, a->base_hash);
+  out += "\nalloc ";
+  append_u(out, r.base_flows.size());
+  out += '\n';
   for (std::size_t j = 0; j < r.base_flows.size(); ++j) {
-    out << "f " << j << ' ' << fmt_g(r.base_flows[j].gbps) << ' '
-        << (r.base_flows[j].stalled ? "stalled" : "ok") << "\n";
+    append_line(out, 'f', j, r.base_flows[j].gbps,
+                r.base_flows[j].stalled ? "stalled" : "ok");
   }
   if (!r.job_flows.empty()) {
-    out << "job " << r.job_flows.size() << "\n";
+    out += "job ";
+    append_u(out, r.job_flows.size());
+    out += '\n';
     for (std::size_t j = 0; j < r.job_flows.size(); ++j) {
-      out << "j " << j << ' ' << fmt_g(r.job_flows[j].gbps) << ' '
-          << (r.job_flows[j].stalled ? "stalled" : "ok") << "\n";
+      append_line(out, 'j', j, r.job_flows[j].gbps,
+                  r.job_flows[j].stalled ? "stalled" : "ok");
     }
   }
   if (!r.fcts.empty()) {
-    out << "fct " << r.fcts.size() << "\n";
+    out += "fct ";
+    append_u(out, r.fcts.size());
+    out += '\n';
     for (std::size_t j = 0; j < r.fcts.size(); ++j) {
-      out << "t " << j << ' ' << fmt_g(r.fcts[j].seconds) << ' '
-          << (r.fcts[j].completed ? "done" : "aborted") << "\n";
+      append_line(out, 't', j, r.fcts[j].seconds, r.fcts[j].completed ? "done" : "aborted");
     }
   }
-  out << "summary flows=" << r.base_flows.size() + r.job_flows.size()
-      << " stalled=" << r.stalled << " total_gbps=" << fmt_g(r.total_gbps)
-      << " min_gbps=" << fmt_g(r.min_gbps) << "\n";
-  out << "end\n";
+  out += "summary flows=";
+  append_u(out, r.base_flows.size() + r.job_flows.size());
+  out += " stalled=";
+  append_u(out, r.stalled);
+  out += " total_gbps=";
+  append_g(out, r.total_gbps);
+  out += " min_gbps=";
+  append_g(out, r.min_gbps);
+  out += "\nend\n";
 }
 
 }  // namespace
 
 int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options) {
   QueryEngine engine{options.engine};
-  out << "hpnsim-serve v1\n";
+  ParseMemo memo{options.engine.max_bases};
+  // Every write below flushes itself: a client waits on each line it is
+  // owed, and nothing else (a tie to `in`, a buffer filling up) may be
+  // relied on to push it out.
+  out << "hpnsim-serve v1\n" << std::flush;
   std::vector<PendingQuery> pending;
+  std::string replies;
 
   const auto flush = [&] {
     if (pending.empty()) return;
@@ -673,14 +778,16 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
     for (std::size_t i = 0; i < pending.size(); ++i) {
       if (pending[i].valid && pending[i].error.empty()) {
         slot[i] = static_cast<int>(valid.size());
-        valid.push_back(pending[i].req);
+        valid.push_back(std::move(pending[i].req));
       }
     }
     const std::vector<Answer> answers = engine.answer(valid);
+    replies.clear();
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      emit_reply(out, i, pending[i],
-                 slot[i] >= 0 ? &answers[static_cast<std::size_t>(slot[i])] : nullptr);
+      append_reply(replies, i, pending[i],
+                   slot[i] >= 0 ? &answers[static_cast<std::size_t>(slot[i])] : nullptr);
     }
+    out.write(replies.data(), static_cast<std::streamsize>(replies.size()));
     out.flush();
     pending.clear();
   };
@@ -712,10 +819,7 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
           text += line;
           text += '\n';
         }
-        std::istringstream ts{line};
-        std::string tok;
-        ts >> tok;
-        if (tok == "end") {
+        if (is_end_line(line)) {
           terminated = true;
           break;
         }
@@ -732,12 +836,11 @@ int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options)
       }
       if (p.error.empty()) {
         std::string parse_error;
-        const auto s = fuzz::Scenario::from_text(text, &parse_error);
-        if (!s) {
-          p.error = "scenario parse error: " + parse_error;
-        } else {
+        if (const fuzz::Scenario* s = memo.parse(std::move(text), &parse_error)) {
           p.req.scenario = *s;
           p.valid = true;
+        } else {
+          p.error = "scenario parse error: " + parse_error;
         }
       }
       pending.push_back(std::move(p));

@@ -47,8 +47,9 @@
 //                        knob replaced (evaluated as its own base)
 //
 // Batching: independent queries in one `go` batch are grouped by base
-// scenario and the groups run in parallel on a RunnerPool; queries sharing
-// a base stay sequential within their group (they share BaseState).
+// scenario and the groups run in parallel on a RunnerPool (a batch with one
+// group runs on the calling thread); queries sharing a base stay
+// sequential within their group (they share BaseState).
 // Replies are assembled in query order — transcripts are byte-stable at
 // any --jobs. Duplicate queries in a batch compute once and reply twice.
 #pragma once
@@ -121,6 +122,9 @@ class QueryEngine {
  private:
   struct CacheEntry;
 
+  /// content_hash of encode_scenario(s), reusing a warm base's hash when
+  /// `s` encodes exactly like that base's scenario.
+  std::uint64_t scenario_hash(const fuzz::Scenario& s) const;
   std::string cache_key(std::uint64_t base_hash, const QueryRequest& q) const;
   BaseState* find_base(std::uint64_t hash);
   void adopt_base(std::unique_ptr<BaseState> base);
@@ -140,7 +144,9 @@ struct ServeOptions {
 
 /// Run the daemon loop over a stream pair until EOF or `quit`. Testable
 /// with stringstreams; `hpnsim_cli serve` binds it to stdin/stdout (wrap
-/// with socat/nc for a socket). Returns the process exit code.
+/// with socat/nc for a socket). Flushes `out` after the banner and after
+/// every reply batch, so it needs no tie between the streams. Returns the
+/// process exit code.
 int serve_loop(std::istream& in, std::ostream& out, const ServeOptions& options = {});
 
 }  // namespace hpn::serve

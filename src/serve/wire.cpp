@@ -216,7 +216,12 @@ std::optional<fuzz::Scenario> decode_scenario(std::string_view bytes,
 }
 
 std::string encode_result(const QueryResult& r) {
+  // Sized up front: a Pod result runs to ~150 KB, and growing by doubling
+  // would copy it over a dozen times on every computed answer.
+  constexpr std::size_t kRecord = 9;  // f64 + u8 per flow or FCT
   std::string out;
+  out.reserve(kResultMagic.size() + 2 + 3 * 4 + 4 + 2 * 8 +
+              kRecord * (r.base_flows.size() + r.job_flows.size() + r.fcts.size()));
   out.append(kResultMagic);
   put_u16(out, kVersion);
   const auto put_flows = [&out](const std::vector<QueryResult::Flow>& flows) {

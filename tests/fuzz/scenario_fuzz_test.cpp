@@ -73,6 +73,51 @@ TEST(ScenarioFormat, MaterializeIsDeterministic) {
   }
 }
 
+// materialize() runs BFS once per distinct endpoint pair and reuses that
+// path for every later flow on the pair. Across the zoo's fabrics, with
+// every flow repeated and reversed so pairs recur, each materialized flow
+// must carry exactly the path a fresh shortest_path() finds, and exactly
+// the flows with a path may survive.
+TEST(ScenarioFormat, MaterializedPathsEqualFreshShortestPaths) {
+  const TopologyKind kinds[] = {
+      TopologyKind::kTinyClos, TopologyKind::kHpnSegment, TopologyKind::kDcnPlus,
+      TopologyKind::kFatTree,  TopologyKind::kRailOnly,   TopologyKind::kRailX,
+      TopologyKind::kUbMesh,   TopologyKind::kRandom,     TopologyKind::kHpnPod};
+  for (const TopologyKind kind : kinds) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      Scenario s = random_scenario(seed);
+      s.topology = kind;
+      if (kind == TopologyKind::kHpnPod) s.size_knob = s.wiring = 2;
+      const std::size_t drawn = s.flows.size();
+      for (std::size_t i = 0; i < drawn; ++i) {
+        ScenarioFlow again = s.flows[i];
+        s.flows.push_back(again);
+        std::swap(again.src, again.dst);
+        s.flows.push_back(again);
+      }
+      // Faults leave paths alone: materialize() routes all-up.
+      const Materialized m = materialize(s);
+      const auto n = static_cast<std::uint32_t>(m.endpoints.size());
+      std::size_t k = 0;
+      for (const ScenarioFlow& f : s.flows) {
+        const std::uint32_t src = f.src % n;
+        std::uint32_t dst = f.dst % n;
+        if (dst == src) dst = (dst + 1) % n;
+        if (dst == src) continue;
+        const std::vector<LinkId> want =
+            shortest_path(m.cluster.topo, m.endpoints[src], m.endpoints[dst]);
+        if (want.empty()) continue;
+        ASSERT_LT(k, m.flows.size()) << to_string(kind) << " seed " << seed;
+        EXPECT_EQ(m.flows[k].src, m.endpoints[src]);
+        EXPECT_EQ(m.flows[k].dst, m.endpoints[dst]);
+        EXPECT_EQ(m.flows[k].path, want) << to_string(kind) << " seed " << seed << " flow " << k;
+        ++k;
+      }
+      EXPECT_EQ(k, m.flows.size()) << to_string(kind) << " seed " << seed;
+    }
+  }
+}
+
 // Fault times are int64 nanoseconds end to end: text serialization and
 // materialize() must both preserve sub-microsecond values exactly (a fault
 // aimed at the same instant as a flow event must stay on that instant — any

@@ -100,6 +100,30 @@ TEST(QueryEngine, RepeatedQueryIsACacheHitWithIdenticalPayload) {
   EXPECT_EQ(engine.stats().computes, 1u);
 }
 
+TEST(QueryEngine, BaseHashIsTheWireHashEvenWhenAWarmBaseCompareEqual) {
+  // A scenario that encodes like a warm base's reuses that base's hash
+  // instead of re-encoding. -0.0 == 0.0, but the two caps encode to other
+  // bytes, so the base hash must follow the encoding, exactly as a fresh
+  // engine computes it.
+  Scenario zero = make_scenario(TopologyKind::kTinyClos, 2, 2);
+  zero.flows[0].cap_gbps = 0.0;
+  Scenario negative_zero = zero;
+  negative_zero.flows[0].cap_gbps = -0.0;
+  ASSERT_TRUE(zero == negative_zero);
+  QueryEngine engine;
+  const Answer warm_zero = engine.answer({make_query(zero, QueryRequest::Verb::kRun)})[0];
+  const Answer again = engine.answer({make_query(zero, QueryRequest::Verb::kKillLink, 1)})[0];
+  const Answer other = engine.answer({make_query(negative_zero, QueryRequest::Verb::kRun)})[0];
+  ASSERT_TRUE(warm_zero.ok && again.ok && other.ok);
+  EXPECT_EQ(again.source, Answer::Source::kWarm);
+  EXPECT_EQ(again.base_hash, warm_zero.base_hash);
+  EXPECT_EQ(other.source, Answer::Source::kCold);
+  QueryEngine fresh;
+  EXPECT_EQ(other.base_hash,
+            fresh.answer({make_query(negative_zero, QueryRequest::Verb::kRun)})[0].base_hash);
+  EXPECT_NE(other.base_hash, warm_zero.base_hash);
+}
+
 TEST(QueryEngine, ConcurrentIdenticalQueriesComputeOnce) {
   const Scenario s = make_scenario(TopologyKind::kHpnSegment, 2, 0);
   EngineOptions options;

@@ -206,6 +206,113 @@ TEST(ServeProtocol, TranscriptIsByteStableAtAnyJobs) {
   EXPECT_EQ(transcripts[0], transcripts[2]);
 }
 
+/// Each "reply ..." block of a transcript, through its `end` line (an
+/// error reply is its one line).
+std::vector<std::string> reply_blocks(const std::string& transcript) {
+  std::vector<std::string> blocks;
+  std::istringstream is{transcript};
+  std::string line;
+  bool open = false;
+  while (std::getline(is, line)) {
+    if (line.rfind("reply ", 0) == 0) {
+      blocks.push_back(line + "\n");
+      open = line.find(" error ") == std::string::npos;
+    } else if (open) {
+      blocks.back() += line + "\n";
+      open = line != "end";
+    }
+  }
+  return blocks;
+}
+
+std::string base_hash_of(const std::string& reply) {
+  const std::size_t at = reply.find(" base=");
+  return at == std::string::npos ? "" : reply.substr(at + 6, 16);
+}
+
+/// The rule the protocol framed scenarios with before it scanned lines in
+/// place: strip one CR, then the first istringstream token is `end`.
+bool token_rule_is_end(std::string line) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  std::istringstream ts{line};
+  std::string tok;
+  ts >> tok;
+  return tok == "end";
+}
+
+TEST(ServeProtocol, EndLinesFrameExactlyAsTheTokenRule) {
+  const std::string body =
+      "hpnsim-scenario v1\nseed 7\ntopology tiny_clos\nsize 2\nwiring 2\n"
+      "flow 0 1 1048576 50\n";
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {"end", true},       {"  end", true},      {"\tend", true},
+      {"end\r", true},     {"end junk", true},   {"end\t", true},
+      {" \v\fend \r", true}, {"endx", false},    {"xend", false},
+      {"", false},         {"END", false},       {"en d", false},
+  };
+  for (const auto& [candidate, terminates] : cases) {
+    ASSERT_EQ(token_rule_is_end(candidate), terminates) << "'" << candidate << "'";
+    // A terminating candidate closes the scenario, so the plain `end` after
+    // it reaches the command loop as an unknown command; otherwise the
+    // candidate is scenario text and the plain `end` closes the scenario.
+    const std::string transcript =
+        run_serve("query run\n" + body + candidate + "\nend\ngo\nquit\n");
+    EXPECT_EQ(transcript.find("protocol-error unknown command 'end'") != std::string::npos,
+              terminates)
+        << "'" << candidate << "'\n"
+        << transcript;
+  }
+}
+
+TEST(ServeProtocol, RepeatedParseErrorAnswersThePinnedErrorEveryTime) {
+  // Parse errors are never memoized: the second copy re-parses and fails
+  // with the same pinned message, and a valid query between them is
+  // unaffected.
+  const std::string bad = "hpnsim-scenario v1\nseed 7\nseed 8\nend\n";
+  const std::string script = "query run\n" + bad + "go\nquery run\n" + tiny_scenario_text() +
+                             "go\nquery run\n" + bad + "go\nquit\n";
+  const std::vector<std::string> replies = reply_blocks(run_serve(script));
+  ASSERT_EQ(replies.size(), 3u);
+  const std::string pinned =
+      "reply 0 error scenario parse error: line 3: duplicate 'seed'\n";
+  EXPECT_EQ(replies[0], pinned);
+  EXPECT_EQ(replies[1].rfind("reply 0 ok run cold base=", 0), 0u) << replies[1];
+  EXPECT_EQ(replies[2], pinned);
+}
+
+TEST(ServeProtocol, ScenariosDifferingInOneByteGetDifferentBases) {
+  std::string other = tiny_scenario_text();
+  const std::size_t at = other.find("flow 1 2 1048576 51");
+  ASSERT_NE(at, std::string::npos);
+  other[at + 18] = '2';  // cap 51 -> 52
+  const std::string script = "query kill-link 0\n" + tiny_scenario_text() + "go\n" +
+                             "query kill-link 0\n" + other + "go\nquit\n";
+  const std::vector<std::string> replies = reply_blocks(run_serve(script));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[1].rfind("reply 0 ok kill-link cold base=", 0), 0u) << replies[1];
+  EXPECT_FALSE(base_hash_of(replies[0]).empty());
+  EXPECT_NE(base_hash_of(replies[0]), base_hash_of(replies[1]));
+}
+
+TEST(ServeProtocol, ScenarioEvictedFromTheParseMemoAnswersIdentically) {
+  // One warm base and no result cache: the third query's scenario was
+  // evicted by the second's, so it is parsed and evaluated again from
+  // scratch, and must reply exactly as the first did.
+  ServeOptions options;
+  options.engine.max_bases = 1;
+  options.engine.cache_bytes = 0;
+  const std::string other =
+      "hpnsim-scenario v1\nseed 11\ntopology rail_only\nsize 4\nwiring 0\n"
+      "flow 0 2 524288 40\nend\n";
+  const std::string script = "query kill-link 1\n" + tiny_scenario_text() + "go\n" +
+                             "query kill-link 1\n" + other + "go\n" +
+                             "query kill-link 1\n" + tiny_scenario_text() + "go\nquit\n";
+  const std::vector<std::string> replies = reply_blocks(run_serve(script, options));
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].rfind("reply 0 ok kill-link cold base=", 0), 0u) << replies[0];
+  EXPECT_EQ(replies[2], replies[0]);
+}
+
 // ---------------------------------------------------------------------------
 // Golden transcript: the smoke load-test's scripted query mix, pinned
 // byte-for-byte. Regenerate with HPN_UPDATE_GOLDEN=1 after an intentional
