@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv);
   bench::banner("Extension — ring vs tree AllReduce crossover (256 GPUs)",
                 "log-depth trees win on latency (small payloads); rings win on "
-                "bandwidth (2(H-1)/H bytes per edge); kAuto switches at the "
-                "crossover, as NCCL does");
+                "bandwidth (2(H-1)/H bytes per edge); NCCL switches between them "
+                "by size");
 
   metrics::Table t{"AllReduce time by algorithm and payload"};
   t.columns({"payload", "ring_ms", "tree_ms", "winner"});
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nmeasured crossover near "
             << (crossover_kb > 0 ? to_string(DataSize::kilobytes(crossover_kb)) : "none")
-            << " on this 32-host segment; kAuto ships a conservative 8MB threshold "
-               "(production crossovers sit lower once rings contend with other jobs)\n";
+            << " on this 32-host segment (production crossovers sit lower once rings "
+               "contend with other jobs)\n";
   return 0;
 }

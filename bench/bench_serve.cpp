@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   const std::uint32_t hosts = args.smoke ? 8 : 128;
   const std::uint32_t segments = args.smoke ? 2 : 16;
   const std::uint32_t flows = args.smoke ? 16 : 16384;
-  const int cold_samples = args.smoke ? 2 : 3;
+  const int cold_samples = args.smoke ? 2 : 9;
   const int warm_samples = args.smoke ? 12 : 60;
   const fuzz::Scenario base = pod_scenario(hosts, segments, flows);
   std::cout << "base: hpn_pod hosts=" << hosts << " segments=" << segments

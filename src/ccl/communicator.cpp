@@ -18,8 +18,6 @@ constexpr DataSize kMinChunk = DataSize::megabytes(1);
 /// concurrent messages, which the connection picker spreads over the NIC's
 /// two ports/planes — engaging the full 2x200G of the rail.
 constexpr int kChannelsPerEdge = 2;
-/// RingAlgorithm::kAuto picks the tree below this per-GPU payload.
-constexpr DataSize kTreeThreshold = DataSize::megabytes(8);
 
 }  // namespace
 
@@ -59,6 +57,54 @@ int Communicator::chunks_for(DataSize total) const {
   return std::clamp(by_min, 1, config_.pipeline_chunks);
 }
 
+int Communicator::open(int pending, DoneFn done) {
+  int op = 0;
+  if (free_ops_.empty()) {
+    op = static_cast<int>(ops_.size());
+    ops_.emplace_back();
+  } else {
+    op = free_ops_.back();
+    free_ops_.pop_back();
+  }
+  Op& rec = ops_[static_cast<std::size_t>(op)];
+  rec.pending = pending;
+  rec.step = 0;
+  rec.done = std::move(done);
+  return op;
+}
+
+void Communicator::arrive(int op) {
+  Op& rec = ops_[static_cast<std::size_t>(op)];
+  if (--rec.pending > 0) return;
+  // Empty the slot before calling out: `done` may open new ops. A finished
+  // pipeline is still on the stack below us; it dies when we return.
+  const DoneFn done = std::move(rec.done);
+  const std::unique_ptr<StagePipeline> pipeline = std::move(rec.pipeline);
+  free_ops_.push_back(op);
+  if (done) done();
+}
+
+void Communicator::arrive_after(Duration delay, int op) {
+  sim_->schedule_after(delay, [this, alive = alive_, op] {
+    if (*alive) arrive(op);
+  });
+}
+
+void Communicator::complete_soon(DoneFn done) {
+  arrive_after(Duration::zero(), open(1, std::move(done)));
+}
+
+void Communicator::run_pipeline(std::vector<StagePipeline::StageFn> stages, int chunks,
+                                DoneFn done) {
+  const int op = open(1, std::move(done));
+  auto pipeline =
+      std::make_unique<StagePipeline>(std::move(stages), chunks, [this, op] { arrive(op); });
+  StagePipeline* const running = pipeline.get();
+  ops_[static_cast<std::size_t>(op)].pipeline = std::move(pipeline);
+  // Stages open ops of their own and may grow ops_: start via the pipeline.
+  running->start();
+}
+
 Communicator::DoneFn Communicator::traced(const char* op, DataSize per_gpu, DoneFn done) {
   metrics::Tracer& tracer = sim_->tracer();
   if (!tracer.enabled()) return done;
@@ -66,10 +112,10 @@ Communicator::DoneFn Communicator::traced(const char* op, DataSize per_gpu, Done
   sim_->trace(metrics::TraceEventKind::kCollectiveBegin, span,
               static_cast<std::uint32_t>(world_size()),
               static_cast<double>(per_gpu.as_bytes()), op);
-  // The end record captures the Simulator (which outlives the Communicator)
-  // rather than `this`, so a span can close after the communicator is gone.
-  return [sim = sim_, span, op, done = std::move(done)] {
-    sim->trace(metrics::TraceEventKind::kCollectiveEnd, span, metrics::kTraceNoId, 0.0, op);
+  // Like every continuation, this runs only while the communicator lives: a
+  // collective cut short by its destruction leaves its span open.
+  return [this, span, op, done = std::move(done)] {
+    sim_->trace(metrics::TraceEventKind::kCollectiveEnd, span, metrics::kTraceNoId, 0.0, op);
     if (done) done();
   };
 }
@@ -119,41 +165,35 @@ void Communicator::on_fabric_change() {
   session_->refresh();
 }
 
-void Communicator::intra_host_flow(int rank, bool up, DataSize size, DoneFn done) {
+void Communicator::intra_host_flow(int rank, bool up, DataSize size, int op) {
   const topo::Host& h = cluster_->host_of(rank);
   const LinkId up_link = h.gpu_nvlink.at(static_cast<std::size_t>(cluster_->rail_of(rank)));
   const LinkId link = up ? up_link : cluster_->topo.link(up_link).reverse;
   const Bandwidth cap = cluster_->topo.link(link).capacity;
   // Intern the single-hop path directly — no per-flow vector materialized.
   session_->start_flow(session_->paths().intern(&link, 1), size, cap,
-                       [done = std::move(done)](FlowId) {
-                         if (done) done();
+                       [this, alive = alive_, op](FlowId) {
+                         if (*alive) arrive(op);
                        });
 }
 
 void Communicator::intra_phase(DataSize bytes, bool up, DoneFn done) {
   if (rails_ == 1 || bytes == DataSize::zero()) {
     // Single-GPU hosts (fat tree) have no intra-host exchange.
-    sim_->schedule_now([done = std::move(done)] { done(); });
+    complete_soon(std::move(done));
     return;
   }
-  auto remaining = std::make_shared<int>(static_cast<int>(ranks_.size()));
-  auto shared_done = std::make_shared<DoneFn>(std::move(done));
-  for (const int rank : ranks_) {
-    intra_host_flow(rank, up, bytes, [remaining, shared_done] {
-      if (--*remaining == 0) (*shared_done)();
-    });
-  }
+  const int op = open(world_size(), std::move(done));
+  for (const int rank : ranks_) intra_host_flow(rank, up, bytes, op);
 }
 
 void Communicator::rail_rings(int steps, DataSize step_bytes, DoneFn done) {
-  const int hosts = static_cast<int>(hosts_.size());
+  const int hosts = host_count();
   if (hosts <= 1 || steps <= 0) {
-    sim_->schedule_now([done = std::move(done)] { done(); });
+    complete_soon(std::move(done));
     return;
   }
-  auto rings_left = std::make_shared<int>(rails_);
-  auto shared_done = std::make_shared<DoneFn>(std::move(done));
+  const int rings = open(rails_, std::move(done));
 
   if (config_.bulk_rings) {
     // One flow per ring edge carrying all steps' bytes; the ring completes
@@ -164,22 +204,13 @@ void Communicator::rail_rings(int steps, DataSize step_bytes, DoneFn done) {
     const int channels = kChannelsPerEdge;
     const DataSize channel_bytes = edge_bytes / static_cast<double>(channels);
     for (int rail = 0; rail < rails_; ++rail) {
-      auto flows_left = std::make_shared<int>(hosts * channels);
+      const int edges =
+          open(hosts * channels, [this, sync_cost, rings] { arrive_after(sync_cost, rings); });
       for (int i = 0; i < hosts; ++i) {
         const int src = global_rank(i, rail);
         const int dst = global_rank((i + 1) % hosts, rail);
         for (int ch = 0; ch < channels; ++ch) {
-          send_message(src, dst, channel_bytes,
-                       [this, alive = alive_, flows_left, sync_cost, rings_left,
-                        shared_done] {
-                         if (!*alive || --*flows_left > 0) return;
-                         // `alive` rides along: shared_done may re-enter a
-                         // pipeline whose next stage touches this object.
-                         sim_->schedule_after(sync_cost, [alive, rings_left, shared_done] {
-                           if (!*alive) return;
-                           if (--*rings_left == 0) (*shared_done)();
-                         });
-                       });
+          send_message(src, dst, channel_bytes, [this, edges] { arrive(edges); });
         }
       }
     }
@@ -187,33 +218,28 @@ void Communicator::rail_rings(int steps, DataSize step_bytes, DoneFn done) {
   }
 
   for (int rail = 0; rail < rails_; ++rail) {
-    // One ring per rail over the member hosts; steps serialized, each step
-    // is `hosts` concurrent neighbor transfers.
-    struct RingState {
-      int step = 0;
-    };
-    auto state = std::make_shared<RingState>();
-    auto run_step = std::make_shared<std::function<void()>>();
-    *run_step = [this, alive = alive_, rail, hosts, steps, step_bytes, state, run_step,
-                 rings_left, shared_done] {
-      if (!*alive) return;
-      if (state->step++ >= steps) {
-        if (--*rings_left == 0) (*shared_done)();
-        return;
-      }
-      auto flows_left = std::make_shared<int>(hosts);
-      for (int i = 0; i < hosts; ++i) {
-        const int src = global_rank(i, rail);
-        const int dst = global_rank((i + 1) % hosts, rail);
-        send_message(src, dst, step_bytes, [this, alive = alive_, flows_left, run_step] {
-          if (!*alive) return;
-          if (--*flows_left == 0) {
-            sim_->schedule_after(config_.step_overhead, [run_step] { (*run_step)(); });
-          }
-        });
-      }
-    };
-    (*run_step)();
+    ring_step(open(1, [this, rings] { arrive(rings); }), rail, steps, step_bytes);
+  }
+}
+
+void Communicator::ring_step(int ring, int rail, int steps, DataSize step_bytes) {
+  // One ring per rail over the member hosts; steps serialized, each step
+  // is `hosts` concurrent neighbor transfers.
+  if (ops_[static_cast<std::size_t>(ring)].step++ >= steps) {
+    arrive(ring);
+    return;
+  }
+  const int hosts = host_count();
+  const int flows = open(hosts, [this, ring, rail, steps, step_bytes] {
+    sim_->schedule_after(config_.step_overhead,
+                         [this, alive = alive_, ring, rail, steps, step_bytes] {
+                           if (*alive) ring_step(ring, rail, steps, step_bytes);
+                         });
+  });
+  for (int i = 0; i < hosts; ++i) {
+    const int src = global_rank(i, rail);
+    const int dst = global_rank((i + 1) % hosts, rail);
+    send_message(src, dst, step_bytes, [this, flows] { arrive(flows); });
   }
 }
 
@@ -223,42 +249,29 @@ int Communicator::tree_depth() const {
   return depth;
 }
 
-bool Communicator::use_tree(DataSize per_gpu) const {
-  if (hosts_.size() <= 2) return false;
-  switch (config_.algorithm) {
-    case RingAlgorithm::kRing: return false;
-    case RingAlgorithm::kTree: return true;
-    case RingAlgorithm::kAuto: return per_gpu < kTreeThreshold;
-  }
-  return false;
-}
-
 void Communicator::tree_wave_level(int level, bool up, DataSize bytes, DoneFn done) {
   // Binary tree over hosts_ positions: parent(i) = (i-1)/2. Level L holds
   // positions [2^L - 1, 2^(L+1) - 1); an upward wave moves level L+1 ->
   // level L, a downward wave the reverse.
-  const int hosts = static_cast<int>(hosts_.size());
+  const int hosts = host_count();
   const int child_lo = (1 << (level + 1)) - 1;
   const int child_hi = std::min(hosts, (1 << (level + 2)) - 1);
   if (child_lo >= hosts) {
-    sim_->schedule_now([done = std::move(done)] { done(); });
+    complete_soon(std::move(done));
     return;
   }
-  auto remaining = std::make_shared<int>((child_hi - child_lo) * rails_);
-  auto shared_done = std::make_shared<DoneFn>(std::move(done));
   // Each level is a synchronization point and pays the same fixed cost a
   // ring step does (propagation + kernel launch + doorbell).
-  const auto arrive = [this, remaining, shared_done] {
-    if (--*remaining == 0) {
-      sim_->schedule_after(config_.step_overhead, [shared_done] { (*shared_done)(); });
-    }
-  };
+  const int level_done = open(1, std::move(done));
+  const int edges = open((child_hi - child_lo) * rails_, [this, level_done] {
+    arrive_after(config_.step_overhead, level_done);
+  });
   for (int child = child_lo; child < child_hi; ++child) {
     const int parent = (child - 1) / 2;
     for (int rail = 0; rail < rails_; ++rail) {
       const int a = global_rank(up ? child : parent, rail);
       const int b = global_rank(up ? parent : child, rail);
-      send_message(a, b, bytes, arrive);
+      send_message(a, b, bytes, [this, edges] { arrive(edges); });
     }
   }
 }
@@ -276,145 +289,58 @@ void Communicator::all_reduce_tree(DataSize per_gpu, DoneFn done) {
   const int depth = tree_depth();
 
   std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-    if (!*alive) return;
+  stages.push_back([this, intra_bytes](int, DoneFn next) {
     intra_phase(intra_bytes, /*up=*/true, std::move(next));
   });
   for (int level = depth - 1; level >= 0; --level) {  // reduce: deepest first
-    stages.push_back([this, alive = alive_, level, edge_bytes](int, std::function<void()> next) {
-      if (!*alive) return;
+    stages.push_back([this, level, edge_bytes](int, DoneFn next) {
       tree_wave_level(level, /*up=*/true, edge_bytes, std::move(next));
     });
   }
   for (int level = 0; level < depth; ++level) {  // broadcast: root outward
-    stages.push_back([this, alive = alive_, level, edge_bytes](int, std::function<void()> next) {
-      if (!*alive) return;
+    stages.push_back([this, level, edge_bytes](int, DoneFn next) {
       tree_wave_level(level, /*up=*/false, edge_bytes, std::move(next));
     });
   }
-  stages.push_back([this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-    if (!*alive) return;
+  stages.push_back([this, intra_bytes](int, DoneFn next) {
     intra_phase(intra_bytes, /*up=*/false, std::move(next));
   });
-  StagePipeline::create(std::move(stages), chunks, std::move(done))->start();
-}
-
-void Communicator::broadcast(DataSize payload, DoneFn done) {
-  done = traced("broadcast", payload, std::move(done));
-  const int chunks = chunks_for(payload);
-  const DataSize chunk = payload / static_cast<double>(chunks);
-  const DataSize intra_bytes = chunk * (static_cast<double>(rails_ - 1) / rails_);
-  const DataSize edge_bytes = chunk / static_cast<double>(rails_);
-  const int depth = tree_depth();
-
-  std::vector<StagePipeline::StageFn> stages;
-  for (int level = 0; level < depth; ++level) {
-    stages.push_back([this, alive = alive_, level, edge_bytes](int, std::function<void()> next) {
-      if (!*alive) return;
-      tree_wave_level(level, /*up=*/false, edge_bytes, std::move(next));
-    });
-  }
-  // Rails each carried 1/8 of the payload; hosts re-assemble over NVLink.
-  stages.push_back([this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-    if (!*alive) return;
-    intra_phase(intra_bytes, /*up=*/false, std::move(next));
-  });
-  StagePipeline::create(std::move(stages), chunks, std::move(done))->start();
-}
-
-void Communicator::reduce(DataSize payload, DoneFn done) {
-  done = traced("reduce", payload, std::move(done));
-  const int chunks = chunks_for(payload);
-  const DataSize chunk = payload / static_cast<double>(chunks);
-  const DataSize intra_bytes =
-      chunk * (static_cast<double>(rails_ - 1) / rails_ / kNvlsGain);
-  const DataSize edge_bytes = chunk / static_cast<double>(rails_);
-  const int depth = tree_depth();
-
-  std::vector<StagePipeline::StageFn> stages;
-  stages.push_back([this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-    if (!*alive) return;
-    intra_phase(intra_bytes, /*up=*/true, std::move(next));
-  });
-  for (int level = depth - 1; level >= 0; --level) {
-    stages.push_back([this, alive = alive_, level, edge_bytes](int, std::function<void()> next) {
-      if (!*alive) return;
-      tree_wave_level(level, /*up=*/true, edge_bytes, std::move(next));
-    });
-  }
-  StagePipeline::create(std::move(stages), chunks, std::move(done))->start();
-}
-
-void Communicator::barrier(DoneFn done) {
-  // Minimal reduce + broadcast: one cache line's worth per edge.
-  auto shared_done = std::make_shared<DoneFn>(std::move(done));
-  reduce(DataSize::bytes(64), [this, alive = alive_, shared_done] {
-    if (!*alive) return;
-    broadcast(DataSize::bytes(64), [shared_done] { (*shared_done)(); });
-  });
+  run_pipeline(std::move(stages), chunks, std::move(done));
 }
 
 void Communicator::all_reduce(DataSize per_gpu, DoneFn done) {
   done = traced("all_reduce", per_gpu, std::move(done));
-  if (use_tree(per_gpu)) {
+  if (config_.algorithm == RingAlgorithm::kTree && hosts_.size() > 2) {
     all_reduce_tree(per_gpu, std::move(done));
     return;
   }
   const int chunks = chunks_for(per_gpu);
   const DataSize chunk = per_gpu / static_cast<double>(chunks);
-  const int hosts = static_cast<int>(hosts_.size());
+  const int hosts = host_count();
   const double intra_fraction = static_cast<double>(rails_ - 1) / rails_;
   const DataSize intra_bytes = chunk * (intra_fraction / kNvlsGain);
   const DataSize step_bytes = chunk / static_cast<double>(rails_ * hosts);
 
-  auto pipeline = StagePipeline::create(
+  run_pipeline(
       {
-          [this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
+          [this, intra_bytes](int, DoneFn next) {
             intra_phase(intra_bytes, /*up=*/true, std::move(next));
           },
-          [this, alive = alive_, hosts, step_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
+          [this, hosts, step_bytes](int, DoneFn next) {
             rail_rings(2 * (hosts - 1), step_bytes, std::move(next));
           },
-          [this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
+          [this, intra_bytes](int, DoneFn next) {
             intra_phase(intra_bytes, /*up=*/false, std::move(next));
           },
       },
       chunks, std::move(done));
-  pipeline->start();
-}
-
-void Communicator::reduce_scatter(DataSize per_gpu, DoneFn done) {
-  done = traced("reduce_scatter", per_gpu, std::move(done));
-  const int chunks = chunks_for(per_gpu);
-  const DataSize chunk = per_gpu / static_cast<double>(chunks);
-  const int hosts = static_cast<int>(hosts_.size());
-  const double intra_fraction = static_cast<double>(rails_ - 1) / rails_;
-  const DataSize intra_bytes = chunk * (intra_fraction / kNvlsGain);
-  const DataSize step_bytes = chunk / static_cast<double>(rails_ * hosts);
-
-  auto pipeline = StagePipeline::create(
-      {
-          [this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
-            intra_phase(intra_bytes, /*up=*/true, std::move(next));
-          },
-          [this, alive = alive_, hosts, step_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
-            rail_rings(hosts - 1, step_bytes, std::move(next));
-          },
-      },
-      chunks, std::move(done));
-  pipeline->start();
 }
 
 void Communicator::all_gather(DataSize gathered, DoneFn done) {
   done = traced("all_gather", gathered, std::move(done));
   const int chunks = chunks_for(gathered);
   const DataSize chunk = gathered / static_cast<double>(chunks);
-  const int hosts = static_cast<int>(hosts_.size());
+  const int hosts = host_count();
   // NVLS cannot accelerate AllGather (§9.2): every GPU unicasts its column
   // to 7 peers *and* receives 7 columns through the NVSwitch — both
   // directions carry (rails-1)/rails of the chunk, which is what makes
@@ -422,28 +348,21 @@ void Communicator::all_gather(DataSize gathered, DoneFn done) {
   const DataSize intra_bytes = chunk * (static_cast<double>(rails_ - 1) / rails_);
   const DataSize step_bytes = chunk / static_cast<double>(rails_ * hosts);
 
-  auto pipeline = StagePipeline::create(
+  run_pipeline(
       {
-          [this, alive = alive_, hosts, step_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
+          [this, hosts, step_bytes](int, DoneFn next) {
             rail_rings(hosts - 1, step_bytes, std::move(next));
           },
-          [this, alive = alive_, intra_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
-            auto remaining = std::make_shared<int>(2);
-            auto shared = std::make_shared<std::function<void()>>(std::move(next));
-            const auto arrive = [remaining, shared] {
-              if (--*remaining == 0) (*shared)();
-            };
+          [this, intra_bytes](int, DoneFn next) {
+            const int both = open(2, std::move(next));
             // Send side: each GPU unicasts its column 7 ways (no multicast
             // without NVLS). Receive side additionally pays the switch's
             // store-and-forward of 7 serialized columns: 2x the bytes.
-            intra_phase(intra_bytes, /*up=*/true, arrive);
-            intra_phase(intra_bytes * 2.0, /*up=*/false, arrive);
+            intra_phase(intra_bytes, /*up=*/true, [this, both] { arrive(both); });
+            intra_phase(intra_bytes * 2.0, /*up=*/false, [this, both] { arrive(both); });
           },
       },
       chunks, std::move(done));
-  pipeline->start();
 }
 
 void Communicator::multi_all_reduce(DataSize per_gpu, DoneFn done) {
@@ -452,33 +371,30 @@ void Communicator::multi_all_reduce(DataSize per_gpu, DoneFn done) {
   done = traced("multi_all_reduce", per_gpu, std::move(done));
   const int chunks = chunks_for(per_gpu);
   const DataSize chunk = per_gpu / static_cast<double>(chunks);
-  const int hosts = static_cast<int>(hosts_.size());
+  const int hosts = host_count();
   const DataSize step_bytes = chunk / static_cast<double>(hosts);
 
-  auto pipeline = StagePipeline::create(
-      {
-          [this, alive = alive_, hosts, step_bytes](int, std::function<void()> next) {
-            if (!*alive) return;
-            rail_rings(2 * (hosts - 1), step_bytes, std::move(next));
-          },
-      },
-      chunks, std::move(done));
-  pipeline->start();
+  run_pipeline({[this, hosts, step_bytes](int, DoneFn next) {
+                 rail_rings(2 * (hosts - 1), step_bytes, std::move(next));
+               }},
+               chunks, std::move(done));
 }
 
 int Communicator::all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn done) {
   done = traced("all_to_all", per_gpu, std::move(done));
-  const int hosts = static_cast<int>(hosts_.size());
+  const int hosts = host_count();
   const int world = world_size();
   if (world <= 1) {
-    sim_->schedule_now([done = std::move(done)] { done(); });
+    complete_soon(std::move(done));
     return 0;
   }
   const double per_peer = per_gpu.as_bytes() / (world - 1);
-  auto remaining = std::make_shared<int>(0);
-  auto shared_done = std::make_shared<DoneFn>(std::move(done));
-  const auto arrive = [remaining, shared_done] {
-    if (--*remaining == 0 && *shared_done) (*shared_done)();
+  // Counted up as messages go out; none can finish before we return.
+  const int op = open(0, std::move(done));
+  int& pending = ops_[static_cast<std::size_t>(op)].pending;
+  const auto send = [this, op, &pending](int src, int dst, DataSize bytes) {
+    ++pending;
+    send_message(src, dst, bytes, [this, op] { arrive(op); });
   };
   int unroutable = 0;
 
@@ -489,13 +405,12 @@ int Communicator::all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn don
   const double cross_share = per_peer * static_cast<double>((hosts - 1) * (rails_ - 1));
   const double up_bytes = intra_share + (allow_host_relay ? cross_share : 0.0);
   if (rails_ > 1 && up_bytes > 0.0) {
+    const DataSize bytes = DataSize::bytes(static_cast<std::int64_t>(up_bytes));
     for (const int rank : ranks_) {
-      ++*remaining;
-      intra_host_flow(rank, /*up=*/true, DataSize::bytes(static_cast<std::int64_t>(up_bytes)),
-                      arrive);
-      ++*remaining;
-      intra_host_flow(rank, /*up=*/false,
-                      DataSize::bytes(static_cast<std::int64_t>(up_bytes)), arrive);
+      ++pending;
+      intra_host_flow(rank, /*up=*/true, bytes, op);
+      ++pending;
+      intra_host_flow(rank, /*up=*/false, bytes, op);
     }
   }
 
@@ -508,8 +423,7 @@ int Communicator::all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn don
       for (int j = 0; j < hosts; ++j) {
         if (i == j) continue;
         for (int rail = 0; rail < rails_; ++rail) {
-          ++*remaining;
-          send_message(global_rank(i, rail), global_rank(j, rail), flow_bytes, arrive);
+          send(global_rank(i, rail), global_rank(j, rail), flow_bytes);
         }
       }
     }
@@ -530,79 +444,27 @@ int Communicator::all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn don
               ++unroutable;
               continue;
             }
-            ++*remaining;
-            send_message(src, dst, flow_bytes, arrive);
+            send(src, dst, flow_bytes);
           }
         }
       }
     }
   }
-  if (*remaining == 0) {
-    sim_->schedule_now([shared_done] {
-      if (*shared_done) (*shared_done)();
-    });
+  if (pending == 0) {
+    pending = 1;
+    arrive_after(Duration::zero(), op);
   }
   return unroutable;
 }
 
-void Communicator::send_recv(int src_index, int dst_index, DataSize size, DoneFn done) {
-  const int src = ranks_.at(static_cast<std::size_t>(src_index));
-  const int dst = ranks_.at(static_cast<std::size_t>(dst_index));
-  send_message(src, dst, size, std::move(done));
-}
-
-namespace {
-
-Duration run_blocking(sim::Simulator& sim, const std::function<void(std::function<void()>)>& op) {
-  const TimePoint start = sim.now();
+Duration Communicator::run_blocking(void (Communicator::*op)(DataSize, DoneFn), DataSize size) {
+  const TimePoint start = sim_->now();
   bool finished = false;
-  op([&finished] { finished = true; });
-  while (!finished && sim.step()) {
+  (this->*op)(size, [&finished] { finished = true; });
+  while (!finished && sim_->step()) {
   }
   HPN_CHECK_MSG(finished, "collective did not complete (no more events)");
-  return sim.now() - start;
-}
-
-}  // namespace
-
-Duration Communicator::run_all_reduce(DataSize per_gpu) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    all_reduce(per_gpu, std::move(done));
-  });
-}
-
-Duration Communicator::run_reduce_scatter(DataSize per_gpu) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    reduce_scatter(per_gpu, std::move(done));
-  });
-}
-
-Duration Communicator::run_all_gather(DataSize gathered) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    all_gather(gathered, std::move(done));
-  });
-}
-
-Duration Communicator::run_multi_all_reduce(DataSize per_gpu) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    multi_all_reduce(per_gpu, std::move(done));
-  });
-}
-
-Duration Communicator::run_all_to_all(DataSize per_gpu, bool allow_host_relay) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    all_to_all(per_gpu, allow_host_relay, std::move(done));
-  });
-}
-
-Duration Communicator::run_broadcast(DataSize payload) {
-  return run_blocking(*sim_, [&](std::function<void()> done) {
-    broadcast(payload, std::move(done));
-  });
-}
-
-Duration Communicator::run_barrier() {
-  return run_blocking(*sim_, [&](std::function<void()> done) { barrier(std::move(done)); });
+  return sim_->now() - start;
 }
 
 double Communicator::bus_bw_all_reduce(int n, DataSize per_gpu, Duration t) {
@@ -611,10 +473,6 @@ double Communicator::bus_bw_all_reduce(int n, DataSize per_gpu, Duration t) {
 
 double Communicator::bus_bw_all_gather(int n, DataSize gathered, Duration t) {
   return static_cast<double>(n - 1) / n * gathered.as_bytes() / t.as_seconds();
-}
-
-double Communicator::bus_bw_reduce_scatter(int n, DataSize per_gpu, Duration t) {
-  return static_cast<double>(n - 1) / n * per_gpu.as_bytes() / t.as_seconds();
 }
 
 }  // namespace hpn::ccl

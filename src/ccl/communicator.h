@@ -9,13 +9,18 @@
 //  * AllReduce      — hierarchical: intra-host reduce-scatter (NVLS-
 //                     accelerated), 8 parallel rail rings across hosts
 //                     (2(H-1) steps), intra-host all-gather; phases overlap
-//                     through a chunked pipeline.
-//  * ReduceScatter  — intra RS + rail rings with (H-1) steps.
+//                     through a chunked pipeline. kTree swaps the rings for
+//                     a binary-tree reduce + broadcast.
 //  * AllGather      — rail rings (H-1 steps) + intra all-gather; NVLS does
 //                     not apply (§9.2), so it is NVSwitch-bound.
 //  * Multi-AllReduce— Fig 17c: per-rail flat rings over the *full* per-GPU
 //                     payload, all data inter-host, no NVLink phases.
-//  * send/recv      — PP point-to-point.
+//  * AllToAll       — MoE expert routing (§10), with or without PXN relay.
+//  * point-to-point — PP stage boundaries.
+//
+// A running collective keeps its state in the communicator: a slab of join
+// records indexed by op id. Callbacks capture (this, liveness token, op id);
+// nothing is shared between them, and nothing outlives the communicator.
 #pragma once
 
 #include <functional>
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "ccl/connection.h"
+#include "ccl/pipeline.h"
 #include "flowsim/session.h"
 #include "sim/simulator.h"
 
@@ -31,7 +37,6 @@ namespace hpn::ccl {
 enum class RingAlgorithm : std::uint8_t {
   kRing,  ///< Bandwidth-optimal: 2(H-1)/H x payload per edge.
   kTree,  ///< Latency-optimal: log2(H) rounds, 2x payload per edge.
-  kAuto,  ///< Tree below 8 MB per GPU, ring above.
 };
 
 struct CclConfig {
@@ -47,7 +52,7 @@ struct CclConfig {
   bool bulk_rings = true;
   /// Retry interval when a message's destination is currently unreachable.
   Duration unreachable_retry = Duration::millis(10);
-  /// Inter-host AllReduce algorithm; NCCL switches ring->tree by size.
+  /// Inter-host AllReduce algorithm (the tree needs more than two hosts).
   RingAlgorithm algorithm = RingAlgorithm::kRing;
 };
 
@@ -60,13 +65,13 @@ class Communicator {
   Communicator(const topo::Cluster& cluster, sim::Simulator& simulator,
                flowsim::FlowSession& session, ConnectionManager& connections,
                std::vector<int> ranks, CclConfig config = {});
-  /// Safe to destroy with collectives in flight: pending callbacks are
-  /// disarmed (they check a shared liveness flag) and in-flight flows keep
-  /// draining in the session without touching this object.
+  /// Safe to destroy with collectives in flight: every pending callback
+  /// checks a liveness token first, so in-flight flows keep draining in the
+  /// session (and still return their WQE credit) without touching this
+  /// object, and no `done` fires. Not movable: those callbacks hold `this`.
   ~Communicator();
   Communicator(const Communicator&) = delete;
   Communicator& operator=(const Communicator&) = delete;
-  Communicator(Communicator&&) = default;
 
   [[nodiscard]] int world_size() const { return static_cast<int>(ranks_.size()); }
   [[nodiscard]] int host_count() const { return static_cast<int>(hosts_.size()); }
@@ -75,7 +80,6 @@ class Communicator {
   // ---- Asynchronous collectives -------------------------------------------
   /// `per_gpu` is the buffer size on every GPU.
   void all_reduce(DataSize per_gpu, DoneFn done);
-  void reduce_scatter(DataSize per_gpu, DoneFn done);
   /// `gathered` is the output size (each GPU contributes gathered / N).
   void all_gather(DataSize gathered, DoneFn done);
   void multi_all_reduce(DataSize per_gpu, DoneFn done);
@@ -91,17 +95,6 @@ class Communicator {
   /// non-zero means the collective cannot actually complete on this fabric.
   int all_to_all(DataSize per_gpu, bool allow_host_relay, DoneFn done);
 
-  /// Broadcast from member-host 0 along the binary tree (dataset/weights
-  /// distribution); `payload` is what every GPU ends up holding.
-  void broadcast(DataSize payload, DoneFn done);
-  /// Reduce to member-host 0 along the binary tree.
-  void reduce(DataSize payload, DoneFn done);
-  /// Synchronization barrier: a minimal tree reduce + broadcast.
-  void barrier(DoneFn done);
-
-  /// Point-to-point between two member ranks (local indexes into `ranks`).
-  void send_recv(int src_index, int dst_index, DataSize size, DoneFn done);
-
   /// Point-to-point between two *global* GPU ranks (need not be members) —
   /// PP stage boundaries use this directly.
   void point_to_point(int src_rank, int dst_rank, DataSize size, DoneFn done) {
@@ -109,13 +102,15 @@ class Communicator {
   }
 
   // ---- Blocking helpers (drive the simulator until the op completes) ------
-  Duration run_all_reduce(DataSize per_gpu);
-  Duration run_reduce_scatter(DataSize per_gpu);
-  Duration run_all_gather(DataSize gathered);
-  Duration run_multi_all_reduce(DataSize per_gpu);
-  Duration run_all_to_all(DataSize per_gpu, bool allow_host_relay = true);
-  Duration run_broadcast(DataSize payload);
-  Duration run_barrier();
+  Duration run_all_reduce(DataSize per_gpu) {
+    return run_blocking(&Communicator::all_reduce, per_gpu);
+  }
+  Duration run_all_gather(DataSize gathered) {
+    return run_blocking(&Communicator::all_gather, gathered);
+  }
+  Duration run_multi_all_reduce(DataSize per_gpu) {
+    return run_blocking(&Communicator::multi_all_reduce, per_gpu);
+  }
 
   /// Re-steer in-flight inter-host messages after a fabric change (port
   /// failover via shared QP contexts, §4).
@@ -124,7 +119,6 @@ class Communicator {
   // ---- NCCL-convention bus bandwidth (bytes/sec) ---------------------------
   static double bus_bw_all_reduce(int n, DataSize per_gpu, Duration t);
   static double bus_bw_all_gather(int n, DataSize gathered, Duration t);
-  static double bus_bw_reduce_scatter(int n, DataSize per_gpu, Duration t);
 
  private:
   struct InFlight {
@@ -143,12 +137,36 @@ class Communicator {
     bool valid = false;
   };
 
+  /// One join point of a running collective: `done` fires once `pending`
+  /// arrivals are in. A slot is recycled only after `pending` reaches zero,
+  /// so an op id held by a pending callback always names that callback's op.
+  struct Op {
+    int pending = 0;
+    int step = 0;  ///< Stepped rail ring: steps started so far.
+    DoneFn done;
+    std::unique_ptr<StagePipeline> pipeline;  ///< Owned until it finishes.
+  };
+
+  /// Takes a free slot for a join of `pending` arrivals.
+  int open(int pending, DoneFn done);
+  /// One arrival at `op`; the last frees the slot, then calls its `done`.
+  void arrive(int op);
+  /// Arrives at `op` after `delay`, unless this communicator is gone by then.
+  void arrive_after(Duration delay, int op);
+  /// Calls `done` from a fresh event at the current instant.
+  void complete_soon(DoneFn done);
+  /// Runs `stages` over `chunks` in a pipeline owned until it finishes.
+  void run_pipeline(std::vector<StagePipeline::StageFn> stages, int chunks, DoneFn done);
+
+  Duration run_blocking(void (Communicator::*op)(DataSize, DoneFn), DataSize size);
+
   /// One message src -> dst (global ranks) over planned connections;
   /// retries while unreachable.
   void send_message(int src_rank, int dst_rank, DataSize size, DoneFn done);
 
-  /// Intra-host transfer for `rank` (up: GPU->NVSwitch, down: reverse).
-  void intra_host_flow(int rank, bool up, DataSize size, DoneFn done);
+  /// Intra-host transfer for `rank` (up: GPU->NVSwitch, down: reverse) that
+  /// arrives at `op` when it finishes.
+  void intra_host_flow(int rank, bool up, DataSize size, int op);
 
   /// Run an intra-host phase (one flow per member GPU); calls done when all
   /// flows finish. `bytes` is per-GPU.
@@ -157,14 +175,15 @@ class Communicator {
   /// Run rail rings across hosts_: `steps` ring steps of `step_bytes` per
   /// host per rail. Calls done when every rail's ring finishes.
   void rail_rings(int steps, DataSize step_bytes, DoneFn done);
+  /// Next step of the stepped (bulk_rings = false) ring on `rail`, whose
+  /// join record is `ring`.
+  void ring_step(int ring, int rail, int steps, DataSize step_bytes);
 
   /// One binary-tree wave per rail: level-by-level edge transfers of
   /// `bytes`, upward (children -> parents) or downward. Chunk-pipelined by
   /// the caller via StagePipeline stages (one per level).
   void tree_wave_level(int level, bool up, DataSize bytes, DoneFn done);
   [[nodiscard]] int tree_depth() const;
-  /// Dispatch ring vs tree for this payload per config.algorithm.
-  [[nodiscard]] bool use_tree(DataSize per_gpu) const;
   void all_reduce_tree(DataSize per_gpu, DoneFn done);
 
   [[nodiscard]] int chunks_for(DataSize total) const;
@@ -185,7 +204,10 @@ class Communicator {
   Bandwidth port_rate_;
   std::unordered_map<FlowId, InFlight> inflight_;
   std::vector<CachedPath> conn_paths_;  ///< ConnId-indexed.
-  /// Cleared on destruction; every async continuation checks it first.
+  std::vector<Op> ops_;        ///< Op-id-indexed join records.
+  std::vector<int> free_ops_;  ///< Recyclable op ids.
+  /// Cleared on destruction. Session completions and scheduled events may
+  /// outlive this object; each checks the token before touching it.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -2,14 +2,6 @@
 
 namespace hpn::ccl {
 
-std::shared_ptr<StagePipeline> StagePipeline::create(std::vector<StageFn> stages, int chunks,
-                                                     std::function<void()> all_done) {
-  HPN_CHECK(!stages.empty());
-  HPN_CHECK(chunks >= 1);
-  return std::shared_ptr<StagePipeline>{
-      new StagePipeline{std::move(stages), chunks, std::move(all_done)}};
-}
-
 StagePipeline::StagePipeline(std::vector<StageFn> stages, int chunks,
                              std::function<void()> all_done)
     : stages_{std::move(stages)},
@@ -17,7 +9,10 @@ StagePipeline::StagePipeline(std::vector<StageFn> stages, int chunks,
       all_done_{std::move(all_done)},
       next_chunk_(stages_.size(), 0),
       busy_(stages_.size(), false),
-      completed_(stages_.size(), -1) {}
+      completed_(stages_.size(), -1) {
+  HPN_CHECK(!stages_.empty());
+  HPN_CHECK(chunks >= 1);
+}
 
 void StagePipeline::start() {
   HPN_CHECK_MSG(!started_, "pipeline started twice");
@@ -34,10 +29,8 @@ void StagePipeline::try_advance() {
     if (s > 0 && completed_[s - 1] < chunk) continue;
     busy_[s] = true;
     next_chunk_[s] = chunk + 1;
-    // Keep the pipeline alive while stages are in flight.
-    auto self = shared_from_this();
     const auto stage_idx = static_cast<int>(s);
-    stages_[s](chunk, [self, stage_idx, chunk] { self->stage_finished(stage_idx, chunk); });
+    stages_[s](chunk, [this, stage_idx, chunk] { stage_finished(stage_idx, chunk); });
   }
 }
 
@@ -49,7 +42,9 @@ void StagePipeline::stage_finished(int stage, int chunk) {
   completed_[s] = chunk;
   if (s + 1 == stages_.size()) {
     if (++finished_chunks_ == chunks_) {
-      if (all_done_) all_done_();
+      // Off the member first: the owner may destroy us from inside it.
+      const auto all_done = std::move(all_done_);
+      if (all_done) all_done();
       return;
     }
   }

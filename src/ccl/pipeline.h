@@ -6,27 +6,28 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
 
 namespace hpn::ccl {
 
-class StagePipeline : public std::enable_shared_from_this<StagePipeline> {
+class StagePipeline {
  public:
   /// A stage processes `chunk` and must call `done` exactly once (possibly
   /// later, from a simulator event).
   using StageFn = std::function<void(int chunk, std::function<void()> done)>;
 
-  static std::shared_ptr<StagePipeline> create(std::vector<StageFn> stages, int chunks,
-                                               std::function<void()> all_done);
+  /// The pipeline must outlive its stages' pending `done` calls. `all_done`
+  /// is its last act, so the owner may destroy it from there — provided no
+  /// stage finishes the last chunk synchronously inside start().
+  StagePipeline(std::vector<StageFn> stages, int chunks, std::function<void()> all_done);
+  StagePipeline(const StagePipeline&) = delete;
+  StagePipeline& operator=(const StagePipeline&) = delete;
 
   void start();
 
  private:
-  StagePipeline(std::vector<StageFn> stages, int chunks, std::function<void()> all_done);
-
   void try_advance();
   void stage_finished(int stage, int chunk);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace hpn::ccl {
@@ -10,7 +11,7 @@ namespace {
 TEST(StagePipeline, RunsAllChunksThroughAllStages) {
   std::vector<std::pair<int, int>> log;  // (stage, chunk)
   bool done = false;
-  auto p = StagePipeline::create(
+  StagePipeline p{
       {
           [&](int chunk, std::function<void()> next) {
             log.emplace_back(0, chunk);
@@ -21,8 +22,8 @@ TEST(StagePipeline, RunsAllChunksThroughAllStages) {
             next();
           },
       },
-      3, [&] { done = true; });
-  p->start();
+      3, [&] { done = true; }};
+  p.start();
   EXPECT_TRUE(done);
   EXPECT_EQ(log.size(), 6u);
   // Each chunk passes stage 0 before stage 1.
@@ -40,15 +41,15 @@ TEST(StagePipeline, RunsAllChunksThroughAllStages) {
 TEST(StagePipeline, StageSerializesChunksInOrder) {
   std::vector<int> stage0_order;
   bool done = false;
-  auto p = StagePipeline::create(
+  StagePipeline p{
       {
           [&](int chunk, std::function<void()> next) {
             stage0_order.push_back(chunk);
             next();
           },
       },
-      5, [&] { done = true; });
-  p->start();
+      5, [&] { done = true; }};
+  p.start();
   EXPECT_TRUE(done);
   EXPECT_EQ(stage0_order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -59,7 +60,7 @@ TEST(StagePipeline, DeferredCompletionOverlapsStages) {
   std::function<void()> release_stage0_chunk1;
   std::vector<std::pair<int, int>> started;
   bool done = false;
-  auto p = StagePipeline::create(
+  StagePipeline p{
       {
           [&](int chunk, std::function<void()> next) {
             started.emplace_back(0, chunk);
@@ -74,8 +75,8 @@ TEST(StagePipeline, DeferredCompletionOverlapsStages) {
             next();
           },
       },
-      2, [&] { done = true; });
-  p->start();
+      2, [&] { done = true; }};
+  p.start();
   // Stage 1 chunk 0 must have run even though stage 0 chunk 1 is pending.
   EXPECT_FALSE(done);
   EXPECT_NE(std::find(started.begin(), started.end(), std::make_pair(1, 0)), started.end());
@@ -85,16 +86,38 @@ TEST(StagePipeline, DeferredCompletionOverlapsStages) {
 
 TEST(StagePipeline, SingleChunkSingleStage) {
   bool done = false;
-  auto p = StagePipeline::create({[&](int, std::function<void()> next) { next(); }}, 1,
-                                 [&] { done = true; });
-  p->start();
+  StagePipeline p{{[&](int, std::function<void()> next) { next(); }}, 1, [&] { done = true; }};
+  p.start();
   EXPECT_TRUE(done);
 }
 
 TEST(StagePipeline, DoubleStartThrows) {
-  auto p = StagePipeline::create({[](int, std::function<void()> next) { next(); }}, 1, nullptr);
+  StagePipeline p{{[](int, std::function<void()> next) { next(); }}, 1, nullptr};
+  p.start();
+  EXPECT_THROW(p.start(), CheckError);
+}
+
+TEST(StagePipeline, OwnerMayDestroyItFromAllDone) {
+  // Stage completions arrive later, as simulator events deliver them, and
+  // all_done frees the pipeline the way Communicator frees a finished op's.
+  std::vector<std::function<void()>> pending;
+  bool done = false;
+  std::unique_ptr<StagePipeline> p;
+  p = std::make_unique<StagePipeline>(
+      std::vector<StagePipeline::StageFn>{
+          [&](int, std::function<void()> next) { pending.push_back(std::move(next)); }},
+      2, [&] {
+        p.reset();
+        done = true;
+      });
   p->start();
-  EXPECT_THROW(p->start(), CheckError);
+  while (!pending.empty()) {
+    auto next = std::move(pending.front());
+    pending.erase(pending.begin());
+    next();
+  }
+  EXPECT_TRUE(done);
+  EXPECT_EQ(p, nullptr);
 }
 
 }  // namespace
